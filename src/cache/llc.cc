@@ -13,17 +13,21 @@ LastLevelCache::LastLevelCache(const LlcConfig &config)
 {
     TSTAT_ASSERT(config.lineSize > 0 && config.ways > 0,
                  "bad LLC geometry");
+    // Whole lines per 4KB frame, so a frame is a line-number range.
+    TSTAT_ASSERT((config.lineSize & (config.lineSize - 1)) == 0 &&
+                     config.lineSize <= kPageSize4K,
+                 "LLC line size must be a power of two <= 4KB");
     const std::uint64_t line_count = config.sizeBytes / config.lineSize;
     TSTAT_ASSERT(line_count % config.ways == 0,
                  "LLC lines not divisible by ways");
     setCount_ = static_cast<unsigned>(line_count / config.ways);
     setsPow2_ = (setCount_ & (setCount_ - 1)) == 0;
     setMask_ = setCount_ - 1;
-    linePow2_ = (config.lineSize & (config.lineSize - 1)) == 0;
     lineShift_ = 0;
     while ((1u << lineShift_) < config.lineSize) {
         ++lineShift_;
     }
+    hugeLineShift_ = kPageShift2M - lineShift_;
     setData_.assign(2 * line_count, 0);
     mruWay_.assign(setCount_, 0);
 }
@@ -56,25 +60,62 @@ void
 LastLevelCache::flushAll()
 {
     std::fill(setData_.begin(), setData_.end(), 0);
+    std::fill(filled_.begin(), filled_.end(), 0);
 }
 
 void
-LastLevelCache::invalidateFrame(Pfn pfn)
+LastLevelCache::invalidateFrames(Pfn first, unsigned count)
 {
-    const std::uint64_t first_line =
-        pfn * kPageSize4K / config_.lineSize;
-    const std::uint64_t line_count = kPageSize4K / config_.lineSize;
-    for (std::uint64_t line = first_line;
-         line < first_line + line_count; ++line) {
-        std::uint64_t *tags =
-            &setData_[static_cast<std::uint64_t>(setIndex(line)) *
-                      2 * config_.ways];
-        const std::uint64_t want = packTag(line);
-        for (unsigned w = 0; w < config_.ways; ++w) {
-            if ((tags[w] & ~kDirtyBit) == want) {
-                tags[w] = 0;
+    if (count == 0) {
+        return;
+    }
+    const unsigned frame_shift = kPageShift4K - lineShift_;
+    const std::uint64_t lo = first << frame_shift;
+    const std::uint64_t hi = (first + count) << frame_shift;
+    bool cached = false;
+    for (std::uint64_t huge = lo >> hugeLineShift_;
+         huge <= (hi - 1) >> hugeLineShift_ && !cached; ++huge) {
+        cached = filled(huge);
+    }
+    if (!cached) {
+        return;
+    }
+
+    const unsigned ways = config_.ways;
+    if (hi - lo < setCount_) {
+        // Short range: probe the one set each line can live in.
+        for (std::uint64_t line = lo; line < hi; ++line) {
+            std::uint64_t *tags =
+                &setData_[static_cast<std::uint64_t>(setIndex(line)) *
+                          2 * ways];
+            const std::uint64_t want = packTag(line);
+            for (unsigned w = 0; w < ways; ++w) {
+                if ((tags[w] & ~kDirtyBit) == want) {
+                    tags[w] = 0;
+                }
             }
         }
+    } else {
+        // At least one line per set: one pass over the tag array.
+        const std::uint64_t span = hi - lo;
+        for (std::size_t set = 0; set < setData_.size();
+             set += 2 * ways) {
+            std::uint64_t *tags = &setData_[set];
+            for (unsigned w = 0; w < ways; ++w) {
+                if ((tags[w] & kValidBit) != 0 &&
+                    (tags[w] >> 2) - lo < span) {
+                    tags[w] = 0;
+                }
+            }
+        }
+    }
+
+    // Every line of a 2MB frame inside the range is gone now.
+    const std::uint64_t huge_lines = std::uint64_t{1} << hugeLineShift_;
+    for (std::uint64_t huge = (lo + huge_lines - 1) >> hugeLineShift_;
+         huge < hi >> hugeLineShift_ && huge >> 6 < filled_.size();
+         ++huge) {
+        filled_[huge >> 6] &= ~(std::uint64_t{1} << (huge & 63));
     }
 }
 
@@ -149,10 +190,10 @@ LlcShards::flushAll()
 }
 
 void
-LlcShards::invalidateFrame(Pfn pfn)
+LlcShards::invalidateFrames(Pfn first, unsigned count)
 {
     for (LastLevelCache &lane : lanes_) {
-        lane.invalidateFrame(pfn);
+        lane.invalidateFrames(first, count);
     }
 }
 

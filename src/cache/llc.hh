@@ -74,11 +74,27 @@ class LastLevelCache
     /** Hit without side effects? (test helper) */
     bool contains(Addr paddr) const;
 
+    /**
+     * Fill-filter bit of the 2MB frame holding @p pfn: false proves
+     * no line of that frame is cached.  (test helper)
+     */
+    bool
+    mayHoldFrame(Pfn pfn) const
+    {
+        return filled(pfn >> (kPageShift2M - kPageShift4K));
+    }
+
     /** Drop every line (e.g. after wholesale migration). */
     void flushAll();
 
-    /** Invalidate all lines within one 4KB frame. */
-    void invalidateFrame(Pfn pfn);
+    /**
+     * Invalidate every line of the @p count 4KB frames starting at
+     * @p first.  Returns at once when this cache never filled a
+     * line of the 2MB frames the range touches; otherwise probes
+     * each line of a range shorter than the set count and makes
+     * one pass over the tag array for a longer one.
+     */
+    void invalidateFrames(Pfn first, unsigned count);
 
     const LlcConfig &config() const { return config_; }
     const LlcStats &stats() const { return stats_; }
@@ -118,8 +134,7 @@ class LastLevelCache
     std::uint64_t
     lineAddr(Addr paddr) const
     {
-        return linePow2_ ? paddr >> lineShift_
-                         : paddr / config_.lineSize;
+        return paddr >> lineShift_;
     }
 
     unsigned
@@ -131,13 +146,34 @@ class LastLevelCache
 
     void recordFrameMiss(Addr paddr);
 
+    /** Set the fill-filter bit of the 2MB frame holding @p line. */
+    void
+    markFilled(std::uint64_t line)
+    {
+        const std::uint64_t huge = line >> hugeLineShift_;
+        const std::uint64_t word = huge >> 6;
+        if (word >= filled_.size()) {
+            filled_.resize(word + 1, 0);
+        }
+        filled_[word] |= std::uint64_t{1} << (huge & 63);
+    }
+
+    bool
+    filled(std::uint64_t huge) const
+    {
+        const std::uint64_t word = huge >> 6;
+        return word < filled_.size() &&
+               (filled_[word] >> (huge & 63) & 1) != 0;
+    }
+
     LlcConfig config_; // shard: read-only
     unsigned setCount_; // shard: read-only
     // shard: read-only
     std::uint64_t setMask_; //!< setCount_ - 1 when a power of two
     bool setsPow2_; // shard: read-only
-    bool linePow2_; // shard: read-only
     unsigned lineShift_; // shard: read-only
+    // shard: read-only
+    unsigned hugeLineShift_; //!< line number -> 2MB frame number
 
     /**
      * Per-set storage block: `ways` packed tags followed by `ways`
@@ -150,6 +186,15 @@ class LastLevelCache
     std::uint64_t useClock_ = 0; // shard: lane-local
     LlcStats stats_; // shard: lane-local
     FlatMap<Pfn, Count> frameMisses_; // shard: lane-local
+
+    /**
+     * Fill filter: bit F is set once a line of 2MB physical frame F
+     * has been installed, and cleared again only when every line of
+     * F is dropped (a whole-frame invalidateFrames or flushAll).  A
+     * clear bit therefore proves no line of F is cached, which lets
+     * invalidateFrames skip a slice without probing it.
+     */
+    std::vector<std::uint64_t> filled_; // shard: lane-local
 };
 
 /**
@@ -161,11 +206,13 @@ class LastLevelCache
  * matching the TLB and page-counter sharding: the lane is chosen by
  * the caller from the access's virtual address, so the slice
  * assignment survives migration between frames.  Each slice gets an
- * even share of the aggregate capacity.  A frame is only ever cached
- * in the lane owning its mapping, so maintenance by frame
- * (invalidateFrame) broadcasts and hits at most one lane; contains()
- * probes all lanes.  Results are fixed by the slicing, not by the
- * worker count executing the lanes.
+ * even share of the aggregate capacity.  Maintenance by frame
+ * (invalidateFrames) goes to every lane, and each slice's fill
+ * filter turns it into a no-op in the slices that never cached the
+ * range -- normally all but the lane owning the mapping, though
+ * nothing relies on that.  contains() probes all lanes.  Results
+ * are fixed by the slicing, not by the worker count executing the
+ * lanes.
  */
 class LlcShards
 {
@@ -185,8 +232,9 @@ class LlcShards
     /** Drop every line in every lane. */
     void flushAll();
 
-    /** Invalidate all lines of one 4KB frame, in every lane. */
-    void invalidateFrame(Pfn pfn);
+    /** Invalidate the lines of @p count 4KB frames from @p first,
+     *  in every lane. */
+    void invalidateFrames(Pfn first, unsigned count);
 
     LastLevelCache &lane(unsigned lane) { return lanes_[lane]; }
     const LastLevelCache &lane(unsigned lane) const
@@ -273,6 +321,7 @@ LastLevelCache::access(Addr paddr, AccessType type)
     }
 
     ++stats_.misses;
+    markFilled(line);
     if (config_.trackFrameMisses) {
         recordFrameMiss(paddr);
     }

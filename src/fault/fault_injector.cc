@@ -1,5 +1,6 @@
 #include "fault/fault_injector.hh"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -19,6 +20,7 @@ constexpr const char *kSiteNames[kFaultSiteCount] = {
     "slow-bandwidth", "wear-retire",
 };
 
+/** A finite number (no nan/inf, no overflow to inf). */
 bool
 parseDouble(const std::string &text, double &out)
 {
@@ -27,14 +29,36 @@ parseDouble(const std::string &text, double &out)
     }
     char *end = nullptr;
     out = std::strtod(text.c_str(), &end);
-    return end != nullptr && *end == '\0';
+    return end != nullptr && *end == '\0' && std::isfinite(out);
 }
 
-Ns
-secondsToNs(double sec)
+/** A whole number in [0, 2^64): decimal digits only. */
+bool
+parseCount(const std::string &text, Count &out)
 {
-    return static_cast<Ns>(
-        std::llround(sec * static_cast<double>(kNsPerSec)));
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos) {
+        return false;
+    }
+    errno = 0;
+    out = std::strtoull(text.c_str(), nullptr, 10);
+    return errno == 0;
+}
+
+/** Non-negative finite seconds whose nanosecond count fits. */
+bool
+parseSeconds(const std::string &text, Ns &out)
+{
+    double sec = 0.0;
+    if (!parseDouble(text, sec) || sec < 0.0) {
+        return false;
+    }
+    const double ns = sec * static_cast<double>(kNsPerSec);
+    if (!(ns < 0x1p63)) {
+        return false;
+    }
+    out = static_cast<Ns>(std::llround(ns));
+    return true;
 }
 
 bool
@@ -120,37 +144,53 @@ FaultPlan::parse(const std::string &spec, FaultPlan &out,
             }
             const std::string key = kv.substr(0, eq);
             const std::string value = kv.substr(eq + 1);
-            double num = 0.0;
-            if (!parseDouble(value, num)) {
+            const auto badValue = [&] {
                 error = "bad value '" + value + "' for fault key '" +
                         key + "'";
                 return false;
-            }
+            };
+            double num = 0.0;
             if (key == "p") {
+                if (!parseDouble(value, num)) {
+                    return badValue();
+                }
                 if (num < 0.0 || num > 1.0) {
                     error = "fault probability must be in [0,1]";
                     return false;
                 }
                 sp.probability = num;
             } else if (key == "burst") {
-                sp.burst = static_cast<Count>(num);
+                if (!parseCount(value, sp.burst)) {
+                    return badValue();
+                }
             } else if (key == "at") {
                 sp.hasAt = true;
-                sp.at = secondsToNs(num);
+                if (!parseSeconds(value, sp.at)) {
+                    return badValue();
+                }
             } else if (key == "from") {
                 sp.hasWindow = true;
-                sp.from = secondsToNs(num);
+                if (!parseSeconds(value, sp.from)) {
+                    return badValue();
+                }
             } else if (key == "until") {
                 sp.hasWindow = true;
-                sp.until = secondsToNs(num);
+                if (!parseSeconds(value, sp.until)) {
+                    return badValue();
+                }
             } else if (key == "factor") {
+                if (!parseDouble(value, num)) {
+                    return badValue();
+                }
                 if (num < 1.0) {
                     error = "fault factor must be >= 1";
                     return false;
                 }
                 sp.factor = num;
             } else if (key == "count") {
-                sp.count = static_cast<Count>(num);
+                if (!parseCount(value, sp.count)) {
+                    return badValue();
+                }
             } else {
                 error = "unknown fault key '" + key + "'";
                 return false;

@@ -28,6 +28,9 @@
  *     factor=<x>   severity multiplier inside the window
  *     count=<n>    event magnitude (e.g. blocks to retire)
  *
+ * Every number must be finite, every time non-negative, and <n> a
+ * whole decimal number below 2^64; anything else is a parse error.
+ *
  * Example -- 5% migration copy failure plus one wear burst at t=60s
  * retiring 4 huge-page blocks:
  *

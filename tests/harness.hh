@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared test harness: the small deterministic workloads, simulation
- * configs and filesystem helpers that the integration-level suites
- * (simulation, golden runs, invariants, degradation) would otherwise
- * each re-declare.
+ * configs, filesystem and subprocess helpers that the suites
+ * (simulation, golden runs, invariants, degradation, CLI exit codes)
+ * would otherwise each re-declare.
  *
  * Everything here is deliberately tiny: a 64MB footprint simulates a
  * minute of run time in well under a second, which is what makes the
@@ -12,6 +12,8 @@
 
 #ifndef THERMOSTAT_TESTS_HARNESS_HH
 #define THERMOSTAT_TESTS_HARNESS_HH
+
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -86,6 +88,26 @@ spillFile(const std::string &path, const std::string &text)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << text;
     return static_cast<bool>(out);
+}
+
+/**
+ * Run @p cmd through the shell, append its stdout+stderr to
+ * @p output, and return its exit status (-1 if it did not exit).
+ */
+inline int
+runCommand(const std::string &cmd, std::string *output)
+{
+    std::FILE *pipe = ::popen((cmd + " 2>&1").c_str(), "r");
+    if (pipe == nullptr) {
+        return -1;
+    }
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) {
+        output->append(buf, n);
+    }
+    const int status = ::pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 /** RAII temporary directory under the system temp root. */

@@ -3,7 +3,7 @@
  * Unit tests for the fault-injection subsystem: plan-spec parsing,
  * per-mode behaviour (Bernoulli, burst, scheduled, window) and the
  * determinism / stream-independence guarantees everything else
- * relies on.
+ * relies on, and the CLI contract that a bad --fault-plan exits 2.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,12 @@
 #include <vector>
 
 #include "fault/fault_injector.hh"
+#include "harness.hh"
 #include "obs/metrics.hh"
+
+#ifndef THERMOSTAT_SIM_BIN
+#error "tests/CMakeLists.txt must define THERMOSTAT_SIM_BIN"
+#endif
 
 namespace thermostat
 {
@@ -105,6 +110,68 @@ TEST(FaultPlanParse, Rejections)
     // Garbage number.
     EXPECT_FALSE(
         FaultPlan::parse("migration-copy:p=zero", plan, error));
+}
+
+TEST(FaultPlanParse, RejectsNonFiniteNegativeAndOutOfRange)
+{
+    const char *const bad[] = {
+        "migration-copy:p=nan",
+        "migration-copy:p=-nan",
+        "slow-latency:from=1,until=2,factor=inf",
+        "slow-latency:from=1,until=2,factor=nan",
+        "slow-latency:from=1,until=2,factor=1e999",
+        "wear-retire:at=-5,count=1",
+        "wear-retire:at=inf,count=1",
+        "wear-retire:at=1e300,count=1",
+        "slow-latency:from=-1,until=2,factor=2",
+        "slow-latency:from=1,until=nan,factor=2",
+        "wear-retire:at=1,count=99999999999999999999",
+        "wear-retire:at=1,count=-1",
+        "wear-retire:at=1,count=1.5",
+        "wear-retire:at=1,count=1e3",
+        "wear-retire:at=1,count=",
+        "migration-copy:at=1,burst=-1",
+        "migration-copy:at=1,burst=+2",
+        "migration-copy:at=1,burst= 2",
+    };
+    for (const char *spec : bad) {
+        FaultPlan plan;
+        std::string error;
+        EXPECT_FALSE(FaultPlan::parse(spec, plan, error)) << spec;
+        EXPECT_NE(error.find("bad value"), std::string::npos)
+            << spec << ": " << error;
+    }
+}
+
+TEST(FaultPlanParse, AcceptsRangeLimits)
+{
+    const FaultPlan plan = mustParse(
+        "wear-retire:at=0,count=18446744073709551615;"
+        "migration-copy:at=0.5,burst=0");
+    EXPECT_EQ(plan[FaultSite::WearRetire].count,
+              18446744073709551615ULL);
+    EXPECT_EQ(plan[FaultSite::WearRetire].at, 0u);
+    EXPECT_EQ(plan[FaultSite::MigrationCopy].at, kNsPerSec / 2);
+    EXPECT_EQ(plan[FaultSite::MigrationCopy].burst, 0u);
+}
+
+TEST(FaultPlanCli, BadNumbersExitTwo)
+{
+    using test::runCommand;
+    for (const char *spec :
+         {"migration-copy:p=nan", "wear-retire:at=-5,count=1",
+          "wear-retire:at=1,count=99999999999999999999",
+          "migration-copy:at=1,burst=-1"}) {
+        std::string output;
+        const int status = runCommand(
+            std::string(THERMOSTAT_SIM_BIN) +
+                " --workload redis --duration 1 --fault-plan '" +
+                spec + "'",
+            &output);
+        EXPECT_EQ(status, 2) << spec << "\n" << output;
+        EXPECT_NE(output.find("bad --fault-plan"), std::string::npos)
+            << output;
+    }
 }
 
 TEST(FaultSiteNames, RoundTrip)

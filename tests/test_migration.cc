@@ -106,6 +106,30 @@ TEST_F(MigrationTest, LlcInvalidatedOnMigration)
     EXPECT_FALSE(llc_.contains(pfn * kPageSize4K));
 }
 
+TEST_F(MigrationTest, LlcInvalidatedOnHugeMigration)
+{
+    // Lines of all 512 old frames, spread over every slice: a line
+    // cached outside the owning lane must be dropped too.
+    const Pfn first = space_.pageTable().walk(heap_).pte->pfn();
+    for (unsigned i = 0; i < kSubpagesPerHuge; ++i) {
+        const Addr frame = (first + i) * kPageSize4K;
+        (void)llc_.access(laneOf(heap_), frame, AccessType::Read);
+        (void)llc_.access(i % kMachineLanes,
+                          frame + (i % 64) * 64, AccessType::Write);
+    }
+    unsigned visible = 0;
+    for (Addr paddr = first * kPageSize4K;
+         paddr < first * kPageSize4K + kPageSize2M; paddr += 64) {
+        visible += llc_.contains(paddr) ? 1 : 0;
+    }
+    ASSERT_GT(visible, 0u);
+    migrator_.migrate(heap_, Tier::Slow, 0);
+    for (Addr paddr = first * kPageSize4K;
+         paddr < first * kPageSize4K + kPageSize2M; paddr += 64) {
+        EXPECT_FALSE(llc_.contains(paddr)) << paddr;
+    }
+}
+
 TEST_F(MigrationTest, FailsWhenTargetFull)
 {
     // Fill the slow tier completely.

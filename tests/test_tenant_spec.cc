@@ -29,6 +29,7 @@ namespace
 {
 
 using test::TempDir;
+using test::runCommand;
 using test::spillFile;
 
 bool
@@ -192,23 +193,6 @@ TEST(TenantSpec, FuzzNeverCrashes)
                 !error.empty());
         }
     }
-}
-
-/** Run @p cmd, capture stdout+stderr, return the exit status. */
-int
-runCommand(const std::string &cmd, std::string *output)
-{
-    std::FILE *pipe = ::popen((cmd + " 2>&1").c_str(), "r");
-    if (pipe == nullptr) {
-        return -1;
-    }
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) {
-        output->append(buf, n);
-    }
-    const int status = ::pclose(pipe);
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 TEST(TenantSpecCli, BadTenantsFileExitsTwoWithListing)
