@@ -133,8 +133,8 @@ class DatacenterHost
     /**
      * Test seam: builds the workload for one tenant.  The default
      * factory resolves spec.workload through makeWorkload /
-     * makeRedisBursty / TraceWorkload::load (fatal on a bad trace
-     * path; the CLI validates first).
+     * makeRedisBursty / TraceWorkload::load (fatal on a bad trace;
+     * thermostat_sim loads every trace first and exits 2).
      */
     using WorkloadFactory = std::function<std::unique_ptr<Workload>(
         const TenantSpec &, const SimConfig &)>;

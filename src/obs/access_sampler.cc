@@ -74,9 +74,6 @@ AccessSampler::record(LaneState &lane, const AccessSample &sample)
             ++lane.recordsDropped;
         }
     }
-    if (hook_) {
-        hook_(sample);
-    }
     lane.gap = nextGap(lane);
 }
 
@@ -201,18 +198,6 @@ AccessSampler::pageHotnessHistogram() const
     return histogram;
 }
 
-Log2Histogram
-AccessSampler::regionHotnessHistogram() const
-{
-    Log2Histogram histogram;
-    for (const LaneState &lane : lanes_) {
-        for (const Count weight : lane.regionWeight.counts()) {
-            histogram.add(weight);
-        }
-    }
-    return histogram;
-}
-
 std::vector<AccessSampler::RegionRank>
 AccessSampler::hottestRegions(std::size_t n) const
 {
@@ -264,26 +249,6 @@ AccessSampler::registerMetrics(MetricRegistry &registry,
     registry.addCallback(prefix + ".records_dropped", [this] {
         return static_cast<double>(recordsDropped());
     });
-}
-
-void
-AccessSampler::reset()
-{
-    for (LaneState &lane : lanes_) {
-        lane.offered = 0;
-        lane.sampled = 0;
-        lane.sampledWrites = 0;
-        lane.sampledSlow = 0;
-        lane.digest = 0x9e3779b97f4a7c15ULL;
-        lane.pageWeight.clear();
-        lane.regionWeight.clear();
-        lane.records.clear();
-        lane.recordHead = 0;
-        lane.recordsDropped = 0;
-        if (enabled()) {
-            lane.gap = nextGap(lane);
-        }
-    }
 }
 
 } // namespace thermostat

@@ -16,11 +16,7 @@
  *  - per-page (4KB-base) hotness counts in an open-addressing
  *    FlatMap, exportable as a Log2Histogram of per-page weights;
  *  - per-region (2MB-aligned) counts, the granularity Thermostat
- *    places at;
- *  - an optional callback (the TieringPolicy access-feedback hook)
- *    so adaptive policies can consume a sampled view of the real
- *    access stream instead of the synthetic profiling stream
- *    (ROADMAP item 5's sampled-feedback source).
+ *    places at.
  *
  * This mirrors the paper's Sec 6.1.2 PEBS discussion: a record rate
  * of 1/period with no interrupt cost modeled here (the simulated
@@ -31,12 +27,10 @@
 #ifndef THERMOSTAT_OBS_ACCESS_SAMPLER_HH
 #define THERMOSTAT_OBS_ACCESS_SAMPLER_HH
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
-
-#include <array>
 
 #include "common/page_counters.hh"
 #include "common/rng.hh"
@@ -87,15 +81,12 @@ struct AccessSamplerConfig
  * ring.  Concurrent onAccess calls are safe for *distinct lanes*
  * (which is how the sharded epoch pipeline drives it); the per-lane
  * sample streams -- and therefore every merged view -- depend only
- * on the lane split, not on the worker count.  The feedback hook is
- * the exception: when installed, the caller must drive the sampler
- * serially (Simulation drops to the serial timing path).
+ * on the lane split, not on the worker count.  The sampler only
+ * observes: nothing it records feeds back into the run.
  */
 class AccessSampler
 {
   public:
-    using SampleHook = std::function<void(const AccessSample &)>;
-
     AccessSampler(const AccessSamplerConfig &config,
                   std::uint64_t run_seed);
 
@@ -119,12 +110,6 @@ class AccessSampler
         record(lane, {page_base, huge, write, slow_tier, weight});
     }
 
-    /** Sampled-feedback consumer (e.g. the policy feedback shim). */
-    void setHook(SampleHook hook) { hook_ = std::move(hook); }
-
-    /** Whether a feedback hook is installed (forces serial driving). */
-    bool hasHook() const { return static_cast<bool>(hook_); }
-
     // -- Aggregate views -------------------------------------------------
 
     std::uint64_t offered() const;
@@ -147,8 +132,6 @@ class AccessSampler
      * everything observed so far (one entry per distinct page).
      */
     Log2Histogram pageHotnessHistogram() const;
-    /** Same at 2MB-region granularity. */
-    Log2Histogram regionHotnessHistogram() const;
 
     /**
      * Raw records, lane-major, oldest first within each lane (empty
@@ -177,9 +160,6 @@ class AccessSampler
     void registerMetrics(MetricRegistry &registry,
                          const std::string &prefix) const;
 
-    /** Drop all aggregates and re-arm the gap (epoch reuse). */
-    void reset();
-
   private:
     /** One machine lane's sampling state (see class comment). */
     struct LaneState
@@ -205,7 +185,6 @@ class AccessSampler
 
     AccessSamplerConfig config_; // shard: read-only
     std::array<LaneState, kMachineLanes> lanes_;
-    SampleHook hook_; // shard: serial-only
 };
 
 } // namespace thermostat

@@ -1,7 +1,6 @@
 #include "sim/simulation.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "obs/json.hh"
@@ -12,16 +11,13 @@ namespace thermostat
 {
 
 /**
- * Resolve the epoch pipeline's worker count: the env override wins
- * (verification mode), then the config knob, then auto.  Never more
- * workers than lanes -- there is nothing for them to do.
+ * Resolve the epoch pipeline's worker count: the config knob, else
+ * auto.  Never more workers than lanes -- there is nothing for them
+ * to do.
  */
 unsigned
 Simulation::resolveShards(const SimConfig &config)
 {
-    if (std::getenv("THERMOSTAT_VERIFY_SHARDING") != nullptr) {
-        return 1;
-    }
     const unsigned requested =
         config.shards != 0
             ? config.shards
@@ -131,21 +127,6 @@ Simulation::Simulation(std::unique_ptr<Workload> workload,
                                                    config_.seed);
         machine_.setAccessSampler(sampler_.get());
         sampler_->registerMetrics(metrics_, "sampler");
-        if (config_.samplerFeedback &&
-            policy_->wantsAccessFeedback()) {
-            // Each sample stands for ~period offered accesses; scale
-            // the feedback weight so the policy sees calibrated
-            // magnitudes (an explicit experiment: this changes what
-            // feedback-driven policies observe).
-            const Count period = config_.sampler.period;
-            sampler_->setHook(
-                [this, period](const AccessSample &s) {
-                    policy_->onProfiledAccess(
-                        s.huge ? alignDown2M(s.pageBase)
-                               : s.pageBase,
-                        s.huge, s.write, s.weight * period);
-                });
-        }
     }
     migrator_.setProfiler(&profiler_);
     kstaled_.setProfiler(&profiler_);
@@ -238,29 +219,13 @@ Simulation::runTimingStream(Count weight, Ns &epoch_actual,
 {
     TraceScope scope(&tracer_, "timing_stream");
     ProfileScope pscope(&profiler_, "timing_stream");
-    // The sampler feedback hook mutates policy state per sample and
-    // is order-sensitive across lanes: drive it serially.  The flag
-    // is a run mode, not a function of the shard count, so results
-    // stay shard-invariant.
-    const bool serial = pool_ == nullptr ||
-                        (sampler_ != nullptr && sampler_->hasHook());
-    if (serial) {
-        for (unsigned i = 0; i < config_.samplesPerEpoch; ++i) {
-            const MemRef ref = workload_->sample(rng_);
-            const AccessOutcome out = machine_.access(
-                ref.addr, ref.type, weight, ref.burstLines);
-            epoch_actual += out.actualLatency;
-            epoch_baseline += out.baselineLatency;
-        }
-        return;
-    }
-    // Sharded path: draw the epoch's references serially first
-    // (consuming rng_ exactly as the serial path would), bucket them
-    // by machine lane, then execute the lanes concurrently.  Each
-    // lane's machine state sees precisely the lane-subsequence of
-    // the draw order -- the same subsequence the serial loop feeds
-    // it -- and every cross-lane accumulation is a commutative sum,
-    // so the merged outcome is identical for any worker count.
+    // Draw the epoch's references serially (rng_ order is the run's
+    // reference order), bucket them by machine lane, then execute
+    // the lanes: concurrently on the pool, or inline in lane order
+    // at --shards 1.  Each lane's machine state sees precisely the
+    // lane-subsequence of the draw order, and every cross-lane
+    // accumulation is a commutative sum, so the merged outcome is
+    // identical for any worker count.
     for (std::vector<MemRef> &bucket : laneRefs_) {
         bucket.clear();
     }
@@ -270,7 +235,7 @@ Simulation::runTimingStream(Count weight, Ns &epoch_actual,
     }
     std::array<Ns, kMachineLanes> actual{};
     std::array<Ns, kMachineLanes> baseline{};
-    pool_->parallelFor(0, kMachineLanes, 1, [&](std::size_t lane) {
+    const auto run_lane = [&](std::size_t lane) {
         Ns lane_actual = 0;
         Ns lane_baseline = 0;
         for (const MemRef &ref : laneRefs_[lane]) {
@@ -281,104 +246,77 @@ Simulation::runTimingStream(Count weight, Ns &epoch_actual,
         }
         actual[lane] = lane_actual;
         baseline[lane] = lane_baseline;
-    });
+    };
+    if (pool_ != nullptr) {
+        pool_->parallelFor(0, kMachineLanes, 1, run_lane);
+    } else {
+        for (std::size_t lane = 0; lane < kMachineLanes; ++lane) {
+            run_lane(lane);
+        }
+    }
     for (unsigned lane = 0; lane < kMachineLanes; ++lane) {
         epoch_actual += actual[lane];
         epoch_baseline += baseline[lane];
     }
 }
 
+// shard: serial-only -- one fused loop in draw order.
 void
 Simulation::runProfileStream(std::uint64_t profile_samples,
                              Count pebs_budget)
 {
     TraceScope scope(&tracer_, "profile_stream");
     ProfileScope pscope(&profiler_, "profile_stream");
+    // The stream's cost is the serial reference draw, not the walks,
+    // so fanning out only the walks does not pay; and the policy
+    // feedback and the PEBS modulo counter are order-sensitive.
     const bool pebs =
         config_.machine.countingMode == CountingMode::Pebs;
     const bool feedback = config_.thermostatEnabled &&
                           policy_->wantsAccessFeedback();
-    // PEBS counts monitored hits through one global modulo counter
-    // and the feedback hook mutates policy state per sample: both
-    // are order-sensitive across lanes, so those modes run serially.
-    // Like the sampler hook, they are run modes, not functions of
-    // the shard count.
-    const bool serial = pool_ == nullptr || pebs || feedback;
     // Grab the component references up front: the Machine accessors
-    // that flush deferred device state must run neither per-sample
-    // (serial loop) nor inside the lane workers (sharded loop).
+    // that flush deferred device state must not run per-sample.
     PageTable &table = machine_.space().pageTable();
     BadgerTrap &trap = machine_.trap();
-    if (serial) {
-        Count pebs_records = 0;
-        for (std::uint64_t i = 0; i < profile_samples; ++i) {
-            const MemRef ref = workload_->sample(profileRng_);
-            const WalkResult wr = table.walk(ref.addr);
-            TSTAT_ASSERT(wr.mapped(), "profile ref unmapped");
-            wr.pte->setAccessed();
-            if (ref.type == AccessType::Write) {
-                wr.pte->setDirty();
-            }
-            if (feedback) {
-                policy_->onProfiledAccess(
-                    wr.huge ? alignDown2M(ref.addr)
-                            : alignDown4K(ref.addr),
-                    wr.huge, ref.type == AccessType::Write,
-                    config_.profileWeight);
-            }
-            if (!wr.pte->poisoned()) {
-                continue;
-            }
-            const Addr base = wr.huge ? alignDown2M(ref.addr)
-                                      : alignDown4K(ref.addr);
-            if (!pebs) {
-                trap.recordAccess(base, config_.profileWeight);
-                continue;
-            }
-            // PEBS: one record per pebsPeriod monitored accesses,
-            // silently dropped beyond the record-rate budget --
-            // which is exactly why 1000Hz cannot support 30K
-            // accesses/sec of monitoring (Sec 6.1.2).
-            if (++pebsMonitoredHits_ % config_.pebsPeriod != 0) {
-                continue;
-            }
-            if (pebs_records >= pebs_budget) {
-                continue;
-            }
-            ++pebs_records;
-            trap.recordAccess(
-                base, config_.profileWeight * config_.pebsPeriod);
-        }
-        return;
-    }
-    // Sharded path: same pre-draw/bucket/execute shape as the
-    // timing stream.  Lane workers only touch lane-owned state --
-    // the leaf PTE (a page maps to exactly one lane), the lane's
-    // walk-cache slots and BadgerTrap's lane counters -- so the
-    // walks and counts commute across lanes.
-    for (std::vector<MemRef> &bucket : laneRefs_) {
-        bucket.clear();
-    }
+    Count pebs_records = 0;
     for (std::uint64_t i = 0; i < profile_samples; ++i) {
         const MemRef ref = workload_->sample(profileRng_);
-        laneRefs_[laneOf(ref.addr)].push_back(ref);
-    }
-    pool_->parallelFor(0, kMachineLanes, 1, [&](std::size_t lane) {
-        for (const MemRef &ref : laneRefs_[lane]) {
-            const WalkResult wr = table.walk(ref.addr);
-            TSTAT_ASSERT(wr.mapped(), "profile ref unmapped");
-            wr.pte->setAccessed();
-            if (ref.type == AccessType::Write) {
-                wr.pte->setDirty();
-            }
-            if (!wr.pte->poisoned()) {
-                continue;
-            }
-            trap.recordAccess(wr.huge ? alignDown2M(ref.addr)
-                                      : alignDown4K(ref.addr),
-                              config_.profileWeight);
+        const WalkResult wr = table.walk(ref.addr);
+        TSTAT_ASSERT(wr.mapped(), "profile ref unmapped");
+        wr.pte->setAccessed();
+        if (ref.type == AccessType::Write) {
+            wr.pte->setDirty();
         }
-    });
+        if (feedback) {
+            policy_->onProfiledAccess(
+                wr.huge ? alignDown2M(ref.addr)
+                        : alignDown4K(ref.addr),
+                wr.huge, ref.type == AccessType::Write,
+                config_.profileWeight);
+        }
+        if (!wr.pte->poisoned()) {
+            continue;
+        }
+        const Addr base = wr.huge ? alignDown2M(ref.addr)
+                                  : alignDown4K(ref.addr);
+        if (!pebs) {
+            trap.recordAccess(base, config_.profileWeight);
+            continue;
+        }
+        // PEBS: one record per pebsPeriod monitored accesses,
+        // silently dropped beyond the record-rate budget -- which is
+        // exactly why 1000Hz cannot support 30K accesses/sec of
+        // monitoring (Sec 6.1.2).
+        if (++pebsMonitoredHits_ % config_.pebsPeriod != 0) {
+            continue;
+        }
+        if (pebs_records >= pebs_budget) {
+            continue;
+        }
+        ++pebs_records;
+        trap.recordAccess(
+            base, config_.profileWeight * config_.pebsPeriod);
+    }
 }
 
 // shard: merge-barrier -- same contract as epochBase().

@@ -55,15 +55,14 @@ struct SimConfig
     unsigned samplesPerEpoch = 40000;
 
     /**
-     * Worker threads for the sharded epoch pipeline: each epoch's
-     * timing and profiling streams are pre-drawn serially, bucketed
-     * into the kMachineLanes address lanes, and the lanes execute
-     * concurrently on this many pool workers.  0 = auto
-     * (min(kMachineLanes, ThreadPool::defaultJobs())); 1 = fully
-     * serial.  The lane split is fixed, so every value produces
-     * byte-identical results -- `--shards 1` doubles as the
-     * verification mode, and setting THERMOSTAT_VERIFY_SHARDING in
-     * the environment forces it regardless of this knob.
+     * Worker threads for the timing stream: each epoch's timing
+     * references are drawn serially, bucketed into the
+     * kMachineLanes address lanes, and the lanes execute on this
+     * many pool workers (1 = inline, in lane order).  0 = auto
+     * (min(kMachineLanes, ThreadPool::defaultJobs())).  The
+     * profiling stream always runs serially in draw order.  The
+     * lane split is fixed, so every value produces byte-identical
+     * results; `--shards 1` is the reference.
      */
     unsigned shards = 0;
 
@@ -144,14 +143,6 @@ struct SimConfig
      * sampler.period = 0 to remove the Machine tap entirely.
      */
     AccessSamplerConfig sampler;
-
-    /**
-     * Route sampled accesses into the active policy's
-     * access-feedback hook (scaled by the sampling period).  Off by
-     * default: it changes what feedback-driven policies see, so
-     * enabling it is an explicit experiment (ROADMAP item 5).
-     */
-    bool samplerFeedback = false;
 
     /** Flight-recorder ring capacity in epochs. */
     std::size_t flightCapacity = 1u << 12;
@@ -298,9 +289,9 @@ class Simulation
 
     /**
      * The epoch pipeline's worker count this config resolves to
-     * (env override, then the knob, then auto; never more than
-     * kMachineLanes).  Exposed so an external pool owner can size
-     * one shared pool before constructing tenant simulations.
+     * (the knob, else auto; never more than kMachineLanes).
+     * Exposed so an external pool owner can size one shared pool
+     * before constructing tenant simulations.
      */
     static unsigned resolveShards(const SimConfig &config);
 
@@ -362,7 +353,7 @@ class Simulation
 
     const SimConfig &config() const { return config_; }
 
-    /** Effective worker count after auto/env resolution. */
+    /** Effective worker count after auto resolution. */
     unsigned shards() const { return shards_; }
 
     /** Null unless the config's fault plan is non-empty. */
@@ -371,11 +362,11 @@ class Simulation
   private:
     void recordFootprint(SimResult &result, Ns now);
 
-    /** One epoch's timing stream (serial or lane-parallel). */
+    /** One epoch's timing stream: serial draw, lane execution. */
     void runTimingStream(Count weight, Ns &epoch_actual,
                          Ns &epoch_baseline);
 
-    /** One epoch's profiling stream (serial or lane-parallel). */
+    /** One epoch's profiling stream: one loop in draw order. */
     void runProfileStream(std::uint64_t profile_samples,
                           Count pebs_budget);
 
@@ -444,16 +435,16 @@ class Simulation
     ThermostatPolicy *thermostat_ = nullptr; // shard: serial-only
 
     Rng rng_;        // shard: serial-only (pre-draw before fan-out)
-    Rng profileRng_; // shard: serial-only (pre-draw before fan-out)
-    Count pebsMonitoredHits_ = 0; // shard: serial-only (forces it)
+    Rng profileRng_; // shard: serial-only (profile stream)
+    Count pebsMonitoredHits_ = 0; // shard: serial-only (profile stream)
     EpochHook hook_;              // shard: serial-only
 
     unsigned shards_ = 1;    //!< resolved // shard: read-only
     /** Owned only when no shared pool was injected. */
     std::unique_ptr<ThreadPool> ownedPool_; // shard: read-only
-    /** Effective pool (owned or shared); null = serial. */
+    /** Effective pool (owned or shared); null = lanes inline. */
     ThreadPool *pool_ = nullptr; // shard: read-only handle
-    /** Per-lane reference buckets, reused across epochs. */
+    /** Per-lane timing-stream buckets, reused across epochs. */
     std::array<std::vector<MemRef>, kMachineLanes> laneRefs_;
 
     RunState run_; // shard: serial-only

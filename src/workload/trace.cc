@@ -1,11 +1,14 @@
 #include "workload/trace.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 
 #include "common/logging.hh"
+#include "vm/address_space.hh"
 
 namespace thermostat
 {
@@ -58,9 +61,33 @@ writeString(std::FILE *file, const std::string &s)
     return std::fwrite(s.data(), 1, s.size(), file) == s.size();
 }
 
+/** End of the user half of a 48-bit virtual address space. */
+constexpr Addr kAddressLimit = Addr{1} << 47;
+
+/**
+ * Bytes from the read position to the end of @p file (0 when it
+ * cannot seek): the bound on every count and length read from it.
+ */
+std::uint64_t
+bytesLeft(std::FILE *file)
+{
+    const long at = std::ftell(file);
+    if (at < 0 || std::fseek(file, 0, SEEK_END) != 0) {
+        return 0;
+    }
+    const long end = std::ftell(file);
+    return std::fseek(file, at, SEEK_SET) == 0 && end > at
+               ? static_cast<std::uint64_t>(end - at)
+               : 0;
+}
+
+/** Read a @p length-byte string, refusing lengths past the end. */
 bool
 readString(std::FILE *file, std::uint32_t length, std::string *out)
 {
+    if (length > bytesLeft(file)) {
+        return false;
+    }
     out->resize(length);
     return std::fread(out->data(), 1, length, file) == length;
 }
@@ -214,6 +241,20 @@ TraceWorkload::load(const std::string &path, std::string *error)
         loadError(error, path, "bad header");
         return nullptr;
     }
+    if (!std::isfinite(header.memRefRate) ||
+        header.memRefRate <= 0.0) {
+        loadError(error, path, "memory reference rate not positive");
+        return nullptr;
+    }
+    if (!(header.cpuWorkFraction >= 0.0 &&
+          header.cpuWorkFraction <= 1.0)) {
+        loadError(error, path, "cpu work fraction outside [0, 1]");
+        return nullptr;
+    }
+    if (header.entryCount == 0) {
+        loadError(error, path, "no entries");
+        return nullptr;
+    }
     auto trace = std::unique_ptr<TraceWorkload>(new TraceWorkload());
     if (!readString(file.get(), header.nameLength, &trace->name_)) {
         loadError(error, path, "truncated workload name");
@@ -222,6 +263,16 @@ TraceWorkload::load(const std::string &path, std::string *error)
     trace->memRefRate_ = header.memRefRate;
     trace->cpuWorkFraction_ = header.cpuWorkFraction;
     trace->naturalDuration_ = header.naturalDurationNs;
+    if (header.regionCount >
+        bytesLeft(file.get()) / sizeof(RegionRecord)) {
+        loadError(error, path, "truncated region records");
+        return nullptr;
+    }
+    // Replay AddressSpace::mapRegion's bump layout so each entry
+    // can be checked against the regions replay will map.
+    std::vector<Addr> begins;
+    std::vector<Addr> ends;
+    Addr next_base = kFirstRegionBase;
     for (std::uint32_t i = 0; i < header.regionCount; ++i) {
         RegionRecord record{};
         RegionSpec spec;
@@ -232,19 +283,58 @@ TraceWorkload::load(const std::string &path, std::string *error)
             loadError(error, path, "truncated region record");
             return nullptr;
         }
+        if (record.bytes > kAddressLimit ||
+            record.reserveBytes > kAddressLimit ||
+            next_base + alignUp2M(std::max(record.reserveBytes,
+                                           alignUp4K(record.bytes))) >
+                kAddressLimit) {
+            loadError(error, path,
+                      "region '" + spec.name +
+                          "' exceeds the 47-bit address space");
+            return nullptr;
+        }
+        for (const RegionSpec &seen : trace->regions_) {
+            if (seen.name == spec.name) {
+                loadError(error, path,
+                          "duplicate region '" + spec.name + "'");
+                return nullptr;
+            }
+        }
         spec.bytes = record.bytes;
         spec.reserveBytes = record.reserveBytes;
         spec.thp = record.thp != 0;
         spec.fileBacked = record.fileBacked != 0;
         trace->regions_.push_back(spec);
+        const std::uint64_t mapped = alignUp4K(spec.bytes);
+        begins.push_back(next_base);
+        ends.push_back(next_base + mapped);
+        next_base += alignUp2M(std::max(spec.reserveBytes, mapped)) +
+                     kPageSize2M;
+    }
+    if (header.entryCount >
+        bytesLeft(file.get()) / sizeof(TraceEntry)) {
+        loadError(error, path, "truncated entries");
+        return nullptr;
     }
     trace->entries_.resize(header.entryCount);
-    if (header.entryCount != 0 &&
-        std::fread(trace->entries_.data(), sizeof(TraceEntry),
+    if (std::fread(trace->entries_.data(), sizeof(TraceEntry),
                    trace->entries_.size(),
                    file.get()) != trace->entries_.size()) {
         loadError(error, path, "truncated entries");
         return nullptr;
+    }
+    for (std::size_t i = 0; i < trace->entries_.size(); ++i) {
+        const Addr addr = trace->entries_[i].addr;
+        const auto it =
+            std::upper_bound(begins.begin(), begins.end(), addr);
+        if (it == begins.begin() ||
+            addr >= ends[static_cast<std::size_t>(
+                        it - begins.begin() - 1)]) {
+            loadError(error, path,
+                      "entry " + std::to_string(i) +
+                          " outside the mapped regions");
+            return nullptr;
+        }
     }
     return trace;
 }
@@ -252,11 +342,16 @@ TraceWorkload::load(const std::string &path, std::string *error)
 void
 TraceWorkload::setup(AddressSpace &space)
 {
-    // Recreate the recorded layout; bump allocation makes the bases
-    // identical, so recorded absolute addresses remain valid.
+    // Recreate the recorded layout.  Bump allocation reproduces it
+    // exactly, shifted by where this address space starts (a host
+    // tenant's window), so entries are relocated by that shift.
     for (const RegionSpec &spec : regions_) {
-        space.mapRegion(spec.name, spec.bytes, spec.reserveBytes,
-                        spec.thp, spec.fileBacked);
+        const Addr base =
+            space.mapRegion(spec.name, spec.bytes, spec.reserveBytes,
+                            spec.thp, spec.fileBacked);
+        if (&spec == &regions_.front()) {
+            shift_ = base - kFirstRegionBase;
+        }
     }
 }
 
@@ -275,7 +370,7 @@ TraceWorkload::sample(Rng &rng)
     const TraceEntry &entry = entries_[cursor_];
     cursor_ = (cursor_ + 1) % entries_.size();
     MemRef ref;
-    ref.addr = entry.addr;
+    ref.addr = entry.addr + shift_;
     ref.burstLines = entry.burstLines;
     ref.type = entry.isWrite ? AccessType::Write : AccessType::Read;
     return ref;

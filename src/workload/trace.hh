@@ -74,15 +74,20 @@ class RecordingWorkload : public Workload
 
 /**
  * Replays a saved trace: maps the recorded regions and serves the
- * recorded references in order, wrapping at the end.
+ * recorded references in order, wrapping at the end.  Traces are
+ * recorded at kFirstRegionBase; replay relocates them to wherever
+ * the address space starts.
  */
 class TraceWorkload : public Workload
 {
   public:
     /**
-     * Load a trace file; nullptr on parse/I/O failure.  When
-     * @p error is non-null it receives a caller-printable
-     * diagnostic naming the path and, for I/O failures, the errno.
+     * Load a trace file; nullptr on parse/I/O failure or a
+     * malformed trace (counts or lengths past the end of the file,
+     * no entries, a non-positive rate, a CPU fraction outside
+     * [0, 1], an entry outside the recorded regions).  When @p error
+     * is non-null it receives a caller-printable diagnostic naming
+     * the path and, for I/O failures, the errno.
      */
     static std::unique_ptr<TraceWorkload>
     load(const std::string &path, std::string *error = nullptr);
@@ -114,6 +119,8 @@ class TraceWorkload : public Workload
     std::vector<RegionSpec> regions_;
     std::vector<TraceEntry> entries_;
     std::size_t cursor_ = 0;
+    /** Replay base minus the recorded base (kFirstRegionBase). */
+    Addr shift_ = 0;
 };
 
 } // namespace thermostat

@@ -242,6 +242,26 @@ TEST(PerfDiff, MalformedInputExitsTwo)
     EXPECT_EQ(runDiff("").exitCode, 2);
 }
 
+TEST(PerfDiff, MalformedThresholdExitsTwo)
+{
+    const std::string good =
+        writeTemp("good.json", benchJson(1.0, 1.0));
+    const std::string files =
+        "--baseline " + quoted(good) + " --fresh " + quoted(good);
+    for (const char *bad :
+         {"--threshold abc", "--threshold 5%", "--threshold nan",
+          "--threshold inf", "--threshold -1",
+          "--threshold-for sim_epoch=abc",
+          "--threshold-for sim_epoch=-2",
+          "--threshold-for sim_epoch="}) {
+        const DiffResult r = runDiff(files + " " + std::string(bad));
+        EXPECT_EQ(r.exitCode, 2) << bad << "\n" << r.output;
+        EXPECT_NE(r.output.find("perf_diff: bad --threshold"),
+                  std::string::npos)
+            << r.output;
+    }
+}
+
 TEST(PerfDiff, VerdictJsonIsMachineReadable)
 {
     const std::string base =

@@ -85,6 +85,18 @@ matrixCells(std::uint64_t seed)
         faulty.config.faultPlan, error))
         << error;
     cells.push_back(std::move(faulty));
+
+    // PEBS counting and a feedback engine: both drive order-sensitive
+    // state from the profiling stream while sharing the lane-parallel
+    // timing stream.
+    Cell pebs{"emu-pebs", matrixConfig(seed)};
+    pebs.config.machine.countingMode = CountingMode::Pebs;
+    cells.push_back(std::move(pebs));
+
+    Cell hotness{"emu-hotness", matrixConfig(seed)};
+    hotness.config.policy = "hotness";
+    hotness.config.policyParams.coldFraction = 0.5;
+    cells.push_back(std::move(hotness));
     return cells;
 }
 
@@ -133,7 +145,7 @@ expectIdentical(const RunFingerprint &ref, const RunFingerprint &got,
 
 TEST(ShardDeterminism, MatrixMatchesSerialReference)
 {
-    // 20 seeds x 3 workload configs x shards {2,4,8} against the
+    // 20 seeds x 5 workload configs x shards {2,4,8} against the
     // shards=1 reference.  Any divergence names its exact cell.
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         for (const Cell &cell : matrixCells(seed)) {
@@ -149,19 +161,6 @@ TEST(ShardDeterminism, MatrixMatchesSerialReference)
             }
         }
     }
-}
-
-TEST(ShardDeterminism, VerifyEnvForcesSerial)
-{
-    ::setenv("THERMOSTAT_VERIFY_SHARDING", "1", 1);
-    SimConfig config = matrixConfig(3);
-    config.shards = 8;
-    Simulation sim(halfColdWorkload(), config);
-    EXPECT_EQ(sim.shards(), 1u);
-    ::unsetenv("THERMOSTAT_VERIFY_SHARDING");
-
-    Simulation parallel(halfColdWorkload(), config);
-    EXPECT_EQ(parallel.shards(), 8u);
 }
 
 TEST(ShardDeterminism, AutoShardsNeverExceedLanes)

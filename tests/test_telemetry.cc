@@ -136,19 +136,6 @@ TEST(AccessSampler, RecordRingIsBoundedFifo)
     EXPECT_EQ(sampler.records().back().pageBase, 19 * kPageSize4K);
 }
 
-TEST(AccessSampler, HookSeesEverySample)
-{
-    AccessSamplerConfig config;
-    config.period = 16;
-    AccessSampler sampler(config, 42);
-    std::uint64_t hooked = 0;
-    sampler.setHook(
-        [&hooked](const AccessSample &) { ++hooked; });
-    driveSampler(sampler, 100000, 5);
-    EXPECT_EQ(hooked, sampler.sampled());
-    EXPECT_GT(hooked, 0u);
-}
-
 // ---------------------------------------------------------------
 // EpochFlightRecorder
 // ---------------------------------------------------------------

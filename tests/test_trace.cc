@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
 
 #include "sim/simulation.hh"
@@ -164,6 +169,34 @@ TEST_F(TraceTest, ReplayedAddressesAreMapped)
     }
 }
 
+TEST_F(TraceTest, ReplayRelocatesToTheSpaceBase)
+{
+    // A host tenant's address window starts above the default base;
+    // the replayed references must follow the regions there.
+    RecordingWorkload recorder(smallWorkload());
+    recorder.setup(space_);
+    Rng rng(17);
+    std::vector<Addr> recorded;
+    for (int i = 0; i < 200; ++i) {
+        recorded.push_back(recorder.sample(rng).addr);
+    }
+    const std::string path = tracePath("relocated.trace");
+    ASSERT_TRUE(recorder.save(path));
+    auto replay = TraceWorkload::load(path);
+    ASSERT_NE(replay, nullptr);
+    TieredMemory mem2(TierConfig::dram(64_MiB),
+                      TierConfig::slow(64_MiB));
+    const Addr window = Addr{1} << 40;
+    AddressSpace space2(mem2, true, window);
+    replay->setup(space2);
+    Rng unused(1);
+    for (const Addr addr : recorded) {
+        const Addr replayed = replay->sample(unused).addr;
+        EXPECT_EQ(replayed, addr - kFirstRegionBase + window);
+        EXPECT_TRUE(space2.pageTable().walk(replayed).mapped());
+    }
+}
+
 TEST(TraceSimulation, ReplayDrivesThermostat)
 {
     // Record a half-cold stream, then run Thermostat over the
@@ -229,6 +262,167 @@ TEST(TraceIo, LoadGarbageFails)
     std::string error;
     EXPECT_EQ(TraceWorkload::load(path, &error), nullptr);
     EXPECT_NE(error.find(path), std::string::npos) << error;
+}
+
+// ---------------------------------------------------------------
+// Untrusted trace files: every malformation is a load error (a
+// diagnostic and nullptr), never an allocation failure or a panic.
+// ---------------------------------------------------------------
+
+/** On-disk header offsets (TraceHeader in src/workload/trace.cc). */
+constexpr std::size_t kRegionCountAt = 8;
+constexpr std::size_t kNameLengthAt = 12;
+constexpr std::size_t kEntryCountAt = 16;
+constexpr std::size_t kRateAt = 24;
+constexpr std::size_t kCpuFractionAt = 32;
+constexpr std::size_t kHeaderBytes = 48;
+/** First region record: bytes, reserve, name length (u32). */
+constexpr std::size_t kRegionBytesAt = kHeaderBytes + 5;
+constexpr std::size_t kRegionNameLengthAt = kRegionBytesAt + 16;
+
+/** The bytes of a valid trace of smallWorkload() ("small"). */
+std::string
+validTraceBytes()
+{
+    TieredMemory memory(TierConfig::dram(64_MiB),
+                        TierConfig::slow(64_MiB));
+    AddressSpace space(memory);
+    RecordingWorkload recorder(smallWorkload());
+    recorder.setup(space);
+    Rng rng(13);
+    for (int i = 0; i < 50; ++i) {
+        (void)recorder.sample(rng);
+    }
+    const std::string path = tracePath("valid.trace");
+    EXPECT_TRUE(recorder.save(path));
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+template <typename T>
+void
+patch(std::string &bytes, std::size_t offset, T value)
+{
+    ASSERT_LE(offset + sizeof(T), bytes.size());
+    std::memcpy(&bytes[offset], &value, sizeof(T));
+}
+
+/** Load @p bytes from a file; the load must fail.  Returns why. */
+std::string
+loadFailure(const std::string &bytes)
+{
+    const std::string path = tracePath("malformed.trace");
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << bytes;
+    }
+    std::string error;
+    EXPECT_EQ(TraceWorkload::load(path, &error), nullptr);
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+    return error;
+}
+
+TEST(TraceIo, ValidTraceBytesLoad)
+{
+    const std::string path = tracePath("valid-reload.trace");
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << validTraceBytes();
+    }
+    auto trace = TraceWorkload::load(path);
+    ASSERT_NE(trace, nullptr);
+    EXPECT_EQ(trace->entryCount(), 50u);
+}
+
+TEST(TraceIo, HugeEntryCountIsTruncationNotAllocation)
+{
+    // A bare header claiming 2^44 entries.
+    std::string bytes = validTraceBytes().substr(0, kHeaderBytes);
+    patch<std::uint32_t>(bytes, kRegionCountAt, 0);
+    patch<std::uint32_t>(bytes, kNameLengthAt, 0);
+    patch<std::uint64_t>(bytes, kEntryCountAt, std::uint64_t{1} << 44);
+    EXPECT_NE(loadFailure(bytes).find("truncated entries"),
+              std::string::npos);
+}
+
+TEST(TraceIo, HugeLengthsAndCountsAreBoundedByFileSize)
+{
+    std::string name = validTraceBytes();
+    patch<std::uint32_t>(name, kNameLengthAt, 0xffffffffu);
+    EXPECT_NE(loadFailure(name).find("truncated workload name"),
+              std::string::npos);
+
+    std::string regions = validTraceBytes();
+    patch<std::uint32_t>(regions, kRegionCountAt, 0xffffffffu);
+    EXPECT_NE(loadFailure(regions).find("truncated region"),
+              std::string::npos);
+
+    std::string region_name = validTraceBytes();
+    patch<std::uint32_t>(region_name, kRegionNameLengthAt,
+                         0xffffffffu);
+    EXPECT_NE(loadFailure(region_name).find("truncated region"),
+              std::string::npos);
+
+    std::string entries = validTraceBytes();
+    patch<std::uint64_t>(entries, kEntryCountAt, 51);
+    EXPECT_NE(loadFailure(entries).find("truncated entries"),
+              std::string::npos);
+}
+
+TEST(TraceIo, ZeroEntryCountRejected)
+{
+    std::string bytes = validTraceBytes();
+    patch<std::uint64_t>(bytes, kEntryCountAt, 0);
+    EXPECT_NE(loadFailure(bytes).find("no entries"),
+              std::string::npos);
+}
+
+TEST(TraceIo, NonPositiveOrNonFiniteRateRejected)
+{
+    for (const double rate :
+         {0.0, -5.0, std::nan(""),
+          std::numeric_limits<double>::infinity()}) {
+        std::string bytes = validTraceBytes();
+        patch<double>(bytes, kRateAt, rate);
+        EXPECT_NE(loadFailure(bytes).find("reference rate"),
+                  std::string::npos)
+            << rate;
+    }
+}
+
+TEST(TraceIo, CpuFractionOutsideUnitIntervalRejected)
+{
+    for (const double fraction : {-0.1, 1.5, std::nan("")}) {
+        std::string bytes = validTraceBytes();
+        patch<double>(bytes, kCpuFractionAt, fraction);
+        EXPECT_NE(loadFailure(bytes).find("cpu work fraction"),
+                  std::string::npos)
+            << fraction;
+    }
+}
+
+TEST(TraceIo, OversizedRegionRejected)
+{
+    std::string bytes = validTraceBytes();
+    patch<std::uint64_t>(bytes, kRegionBytesAt, std::uint64_t{1} << 60);
+    EXPECT_NE(loadFailure(bytes).find("address space"),
+              std::string::npos);
+}
+
+TEST(TraceIo, EntryOutsideMappedRegionsRejected)
+{
+    const std::string valid = validTraceBytes();
+    const std::size_t last = valid.size() - sizeof(TraceEntry);
+    // Below the first region, in the guard gap past the 8MB heap,
+    // and far above every region.
+    for (const Addr addr : {Addr{0}, kFirstRegionBase + 8_MiB,
+                            Addr{1} << 46}) {
+        std::string bytes = valid;
+        patch<Addr>(bytes, last, addr);
+        EXPECT_NE(loadFailure(bytes).find("entry 49 outside"),
+                  std::string::npos)
+            << addr;
+    }
 }
 
 } // namespace

@@ -30,6 +30,8 @@
  * (run_benches.sh --update-baseline wires it up).
  */
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -73,6 +75,28 @@ nextArg(int argc, char **argv, int &i)
         usage();
     }
     return argv[++i];
+}
+
+/**
+ * A tolerance percentage: the whole token must parse to a finite,
+ * non-negative number.  Anything else names @p flag and exits 2 (a
+ * malformed tolerance must not silently become 0%).
+ */
+double
+parsePct(const char *flag, const char *text)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno != 0 ||
+        !std::isfinite(v) || v < 0.0) {
+        std::fprintf(stderr,
+                     "perf_diff: bad %s '%s': expected a finite "
+                     "percentage >= 0\n",
+                     flag, text);
+        std::exit(2);
+    }
+    return v;
 }
 
 /** Read an entire file; exit 2 when unreadable. */
@@ -167,7 +191,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--fresh")) {
             fresh_path = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--threshold")) {
-            threshold = std::atof(nextArg(argc, argv, i));
+            threshold = parsePct("--threshold", nextArg(argc, argv, i));
         } else if (!std::strcmp(arg, "--threshold-for")) {
             const std::string spec = nextArg(argc, argv, i);
             const std::size_t eq = spec.find('=');
@@ -175,7 +199,7 @@ main(int argc, char **argv)
                 usage();
             }
             overrides[spec.substr(0, eq)] =
-                std::atof(spec.c_str() + eq + 1);
+                parsePct("--threshold-for", spec.c_str() + eq + 1);
         } else if (!std::strcmp(arg, "--metric")) {
             metric = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--direction")) {
@@ -195,8 +219,7 @@ main(int argc, char **argv)
             usage();
         }
     }
-    if (baseline_path.empty() || fresh_path.empty() ||
-        threshold < 0.0) {
+    if (baseline_path.empty() || fresh_path.empty()) {
         usage();
     }
 

@@ -10,7 +10,7 @@
  *                  [--metrics-format json|prom] \
  *                  [--trace-out FILE] [--trace-events MASK] \
  *                  [--flight-out FILE] [--profile-out FILE] \
- *                  [--sample-period N] [--sampler-feedback] \
+ *                  [--sample-period N] \
  *                  [--fault-plan SPEC] \
  *                  [--log-level quiet|normal|verbose]
  *
@@ -23,12 +23,17 @@
  * JSONL when FILE ends in .jsonl.  --flight-out writes the
  * per-epoch flight-recorder ring (JSONL, or CSV when FILE ends in
  * .csv); --profile-out writes the host-time phase profile tree.
+ * A malformed or out-of-range operand exits 2 with a diagnostic.
  */
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -40,6 +45,7 @@
 #include "sim/reporter.hh"
 #include "sim/simulation.hh"
 #include "workload/cloud_apps.hh"
+#include "workload/trace.hh"
 
 using namespace thermostat;
 
@@ -64,12 +70,14 @@ usage(const char *argv0)
         "                     --policy-param help for the keys)\n"
         "  --list-policies    print registered policies and exit\n"
         "  --list-workloads   print known workloads and exit\n"
-        "  --target PCT       tolerable slowdown %% (default 3)\n"
-        "  --duration SEC     measured seconds (default: natural)\n"
+        "  --target PCT       tolerable slowdown %% in (0, 100]\n"
+        "                     (default 3)\n"
+        "  --duration SEC     measured seconds, >= 1 (default:\n"
+        "                     natural)\n"
         "  --warmup SEC       warmup seconds (default 0)\n"
         "  --seed N           RNG seed (default 42)\n"
-        "  --shards N         epoch-pipeline worker threads (0 =\n"
-        "                     auto, 1 = serial; results are\n"
+        "  --shards N         timing-stream worker threads, 0..8\n"
+        "                     (0 = auto, 1 = serial; results are\n"
         "                     identical for every value)\n"
         "  --mode emu|device  slow-memory model (default emu)\n"
         "  --counting M       badgertrap | cmbit | pebs\n"
@@ -89,8 +97,6 @@ usage(const char *argv0)
         "  --sample-period N  telemetry sampling period (mean\n"
         "                     accesses per sample; 0 disables;\n"
         "                     default 64)\n"
-        "  --sampler-feedback route sampled accesses into the\n"
-        "                     policy's access-feedback hook\n"
         "  --trace-events M   comma list of sample,poison,classify,\n"
         "                     migrate,correct,fault,phase | all |"
         " none\n"
@@ -125,6 +131,55 @@ nextArg(int argc, char **argv, int &i)
     }
     return argv[++i];
 }
+
+/** Name the flag at argv[i - 1] and its bad operand argv[i]. */
+[[noreturn]] void
+badOperand(char **argv, int i, const char *expected)
+{
+    std::fprintf(stderr, "bad %s '%s': expected %s\n", argv[i - 1],
+                 argv[i], expected);
+    usage(argv[0]);
+}
+
+/**
+ * Strict numeric operands: the whole token must parse, the value
+ * must be finite and inside [lo, hi]; anything else exits 2.
+ */
+double
+realArg(int argc, char **argv, int &i, double lo, double hi,
+        const char *expected)
+{
+    const char *text = nextArg(argc, argv, i);
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno != 0 ||
+        !std::isfinite(v) || v < lo || v > hi) {
+        badOperand(argv, i, expected);
+    }
+    return v;
+}
+
+/** Decimal digits only (strtoull alone would accept a sign). */
+std::uint64_t
+countArg(int argc, char **argv, int &i, std::uint64_t lo,
+         std::uint64_t hi, const char *expected)
+{
+    const char *text = nextArg(argc, argv, i);
+    errno = 0;
+    char *end = nullptr;
+    const bool digits = *text >= '0' && *text <= '9';
+    const unsigned long long v =
+        digits ? std::strtoull(text, &end, 10) : 0;
+    if (!digits || *end != '\0' || errno != 0 || v < lo || v > hi) {
+        badOperand(argv, i, expected);
+    }
+    return v;
+}
+
+/** Longest --duration/--warmup whose sum still fits in Ns. */
+constexpr std::uint64_t kMaxSeconds =
+    std::numeric_limits<Ns>::max() / kNsPerSec / 2;
 
 void
 printList(const std::vector<std::string> &names)
@@ -209,8 +264,8 @@ main(int argc, char **argv)
     std::string csv_dir;
     SimConfig config;
     double target = 3.0;
-    long duration_sec = 0;
-    long warmup_sec = 0;
+    std::uint64_t duration_sec = 0;
+    std::uint64_t warmup_sec = 0;
     bool spread = false;
     bool enabled = true;
     std::string mode = "emu";
@@ -223,8 +278,11 @@ main(int argc, char **argv)
     std::string profile_out;
     std::string tenants_file;
     double host_bw_mbps = 0.0;
-    long host_fast_cap_mb = 0;
-    long tenant_fast_cap_mb = 0;
+    std::uint64_t host_fast_cap_mb = 0;
+    std::uint64_t tenant_fast_cap_mb = 0;
+    // MiB caps are shifted into bytes.
+    constexpr std::uint64_t kMaxCapMb =
+        std::numeric_limits<std::uint64_t>::max() >> 20;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -233,8 +291,8 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--policy")) {
             config.policy = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--cold-fraction")) {
-            config.policyParams.coldFraction =
-                std::atof(nextArg(argc, argv, i));
+            config.policyParams.coldFraction = realArg(
+                argc, argv, i, 0.0, 1.0, "a fraction in [0, 1]");
         } else if (!std::strcmp(arg, "--policy-param")) {
             applyPolicyParam(config.policyParams,
                              nextArg(argc, argv, i));
@@ -245,17 +303,24 @@ main(int argc, char **argv)
             printList(cliWorkloadNames());
             return 0;
         } else if (!std::strcmp(arg, "--target")) {
-            target = std::atof(nextArg(argc, argv, i));
+            target = realArg(argc, argv, i,
+                             std::numeric_limits<double>::denorm_min(),
+                             100.0, "a percentage in (0, 100]");
         } else if (!std::strcmp(arg, "--duration")) {
-            duration_sec = std::atol(nextArg(argc, argv, i));
+            duration_sec = countArg(argc, argv, i, 1, kMaxSeconds,
+                                    "whole seconds >= 1");
         } else if (!std::strcmp(arg, "--warmup")) {
-            warmup_sec = std::atol(nextArg(argc, argv, i));
+            warmup_sec = countArg(argc, argv, i, 0, kMaxSeconds,
+                                  "whole seconds >= 0");
         } else if (!std::strcmp(arg, "--seed")) {
-            config.seed = static_cast<std::uint64_t>(
-                std::atoll(nextArg(argc, argv, i)));
+            config.seed =
+                countArg(argc, argv, i, 0,
+                         std::numeric_limits<std::uint64_t>::max(),
+                         "an unsigned 64-bit integer");
         } else if (!std::strcmp(arg, "--shards")) {
             config.shards = static_cast<unsigned>(
-                std::atoi(nextArg(argc, argv, i)));
+                countArg(argc, argv, i, 0, kMachineLanes,
+                         "an integer in [0, 8]"));
         } else if (!std::strcmp(arg, "--mode")) {
             mode = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--counting")) {
@@ -285,10 +350,11 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--profile-out")) {
             profile_out = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--sample-period")) {
-            config.sampler.period = static_cast<Count>(
-                std::atoll(nextArg(argc, argv, i)));
-        } else if (!std::strcmp(arg, "--sampler-feedback")) {
-            config.samplerFeedback = true;
+            // The sampler draws gaps below 2 * period.
+            config.sampler.period = countArg(
+                argc, argv, i, 0,
+                std::numeric_limits<Count>::max() / 2,
+                "a non-negative integer");
         } else if (!std::strcmp(arg, "--fault-plan")) {
             std::string error;
             if (!FaultPlan::parse(nextArg(argc, argv, i),
@@ -305,11 +371,17 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--tenants")) {
             tenants_file = nextArg(argc, argv, i);
         } else if (!std::strcmp(arg, "--host-bw-mbps")) {
-            host_bw_mbps = std::atof(nextArg(argc, argv, i));
+            host_bw_mbps = realArg(
+                argc, argv, i, 0.0,
+                std::numeric_limits<double>::max(),
+                "a finite MB/s >= 0");
         } else if (!std::strcmp(arg, "--host-fast-cap-mb")) {
-            host_fast_cap_mb = std::atol(nextArg(argc, argv, i));
+            host_fast_cap_mb = countArg(argc, argv, i, 0, kMaxCapMb,
+                                        "a non-negative MiB count");
         } else if (!std::strcmp(arg, "--tenant-fast-cap-mb")) {
-            tenant_fast_cap_mb = std::atol(nextArg(argc, argv, i));
+            tenant_fast_cap_mb = countArg(
+                argc, argv, i, 0, kMaxCapMb,
+                "a non-negative MiB count");
         } else if (!std::strcmp(arg, "--log-level")) {
             LogLevel level;
             if (!parseLogLevel(nextArg(argc, argv, i), &level)) {
@@ -327,9 +399,7 @@ main(int argc, char **argv)
     config.params.tolerableSlowdownPct = target;
     config.params.spreadHugePages = spread;
     config.thermostatEnabled = enabled;
-    if (duration_sec > 0) {
-        config.duration = static_cast<Ns>(duration_sec) * kNsPerSec;
-    }
+    config.duration = static_cast<Ns>(duration_sec) * kNsPerSec;
     config.warmup = static_cast<Ns>(warmup_sec) * kNsPerSec;
 
     // Mode switches layered onto a (possibly workload-tuned)
@@ -365,6 +435,22 @@ main(int argc, char **argv)
             std::fprintf(stderr, "--tenants: %s\n", error.c_str());
             return 2;
         }
+        // A bad trace is a usage error: load each trace once here,
+        // before the host builds (and would fail on) the tenants.
+        const std::string trace_prefix = "trace:";
+        std::set<std::string> traces;
+        for (const TenantSpec &spec : specs) {
+            if (spec.workload.compare(0, trace_prefix.size(),
+                                      trace_prefix) == 0 &&
+                traces.insert(spec.workload).second &&
+                TraceWorkload::load(
+                    spec.workload.substr(trace_prefix.size()),
+                    &error) == nullptr) {
+                std::fprintf(stderr, "--tenants: tenant '%s': %s\n",
+                             spec.id.c_str(), error.c_str());
+                return 2;
+            }
+        }
         apply_machine_modes(config.machine);
 
         HostConfig hconfig;
@@ -372,10 +458,9 @@ main(int argc, char **argv)
         hconfig.arbiter.epoch = config.epoch;
         hconfig.arbiter.migrationBwBytesPerSec =
             host_bw_mbps * 1.0e6;
-        hconfig.arbiter.hostFastCapBytes =
-            static_cast<std::uint64_t>(host_fast_cap_mb) << 20;
-        hconfig.arbiter.tenantFastCapBytes =
-            static_cast<std::uint64_t>(tenant_fast_cap_mb) << 20;
+        hconfig.arbiter.hostFastCapBytes = host_fast_cap_mb << 20;
+        hconfig.arbiter.tenantFastCapBytes = tenant_fast_cap_mb
+                                             << 20;
 
         DatacenterHost host(specs, hconfig);
         const HostResult hr = host.run();
