@@ -1,9 +1,15 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <utility>
+
+#include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace thermostat
 {
@@ -133,9 +139,15 @@ unsigned
 ThreadPool::defaultJobs()
 {
     if (const char *env = std::getenv("THERMOSTAT_JOBS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n > 0) {
-            return static_cast<unsigned>(n);
+        const std::optional<std::uint64_t> n = parseCount(env);
+        if (n && *n >= 1 && *n <= kMaxJobs) {
+            return static_cast<unsigned>(*n);
+        }
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true)) {
+            TSTAT_WARN("THERMOSTAT_JOBS='%s' is not an integer in "
+                       "[1, %u]; using the hardware concurrency",
+                       env, kMaxJobs);
         }
     }
     const unsigned hw = std::thread::hardware_concurrency();

@@ -86,10 +86,14 @@ class ThreadPool
                      const std::function<void(std::size_t)> &fn)
         TSTAT_EXCLUDES(mutex_);
 
+    /** Upper bound for THERMOSTAT_JOBS and run_all --jobs. */
+    static constexpr unsigned kMaxJobs = 1024;
+
     /**
      * Worker count from the environment: THERMOSTAT_JOBS when set to
-     * a positive integer, else std::thread::hardware_concurrency()
-     * (minimum 1).
+     * an integer in [1, kMaxJobs], else
+     * std::thread::hardware_concurrency() (minimum 1).  A set but
+     * malformed or out-of-range value warns once per process.
      */
     static unsigned defaultJobs();
 

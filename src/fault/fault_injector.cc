@@ -1,12 +1,12 @@
 #include "fault/fault_injector.hh"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "obs/metrics.hh"
 
 namespace thermostat
@@ -20,40 +20,15 @@ constexpr const char *kSiteNames[kFaultSiteCount] = {
     "slow-bandwidth", "wear-retire",
 };
 
-/** A finite number (no nan/inf, no overflow to inf). */
-bool
-parseDouble(const std::string &text, double &out)
-{
-    if (text.empty()) {
-        return false;
-    }
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end != nullptr && *end == '\0' && std::isfinite(out);
-}
-
-/** A whole number in [0, 2^64): decimal digits only. */
-bool
-parseCount(const std::string &text, Count &out)
-{
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos) {
-        return false;
-    }
-    errno = 0;
-    out = std::strtoull(text.c_str(), nullptr, 10);
-    return errno == 0;
-}
-
 /** Non-negative finite seconds whose nanosecond count fits. */
 bool
 parseSeconds(const std::string &text, Ns &out)
 {
-    double sec = 0.0;
-    if (!parseDouble(text, sec) || sec < 0.0) {
+    const std::optional<double> sec = parseReal(text);
+    if (!sec || *sec < 0.0) {
         return false;
     }
-    const double ns = sec * static_cast<double>(kNsPerSec);
+    const double ns = *sec * static_cast<double>(kNsPerSec);
     if (!(ns < 0x1p63)) {
         return false;
     }
@@ -149,20 +124,22 @@ FaultPlan::parse(const std::string &spec, FaultPlan &out,
                         key + "'";
                 return false;
             };
-            double num = 0.0;
+            const std::optional<double> num = parseReal(value);
+            const std::optional<Count> count = parseCount(value);
             if (key == "p") {
-                if (!parseDouble(value, num)) {
+                if (!num) {
                     return badValue();
                 }
-                if (num < 0.0 || num > 1.0) {
+                if (*num < 0.0 || *num > 1.0) {
                     error = "fault probability must be in [0,1]";
                     return false;
                 }
-                sp.probability = num;
+                sp.probability = *num;
             } else if (key == "burst") {
-                if (!parseCount(value, sp.burst)) {
+                if (!count) {
                     return badValue();
                 }
+                sp.burst = *count;
             } else if (key == "at") {
                 sp.hasAt = true;
                 if (!parseSeconds(value, sp.at)) {
@@ -179,18 +156,19 @@ FaultPlan::parse(const std::string &spec, FaultPlan &out,
                     return badValue();
                 }
             } else if (key == "factor") {
-                if (!parseDouble(value, num)) {
+                if (!num) {
                     return badValue();
                 }
-                if (num < 1.0) {
+                if (*num < 1.0) {
                     error = "fault factor must be >= 1";
                     return false;
                 }
-                sp.factor = num;
+                sp.factor = *num;
             } else if (key == "count") {
-                if (!parseCount(value, sp.count)) {
+                if (!count) {
                     return badValue();
                 }
+                sp.count = *count;
             } else {
                 error = "unknown fault key '" + key + "'";
                 return false;

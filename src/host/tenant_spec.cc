@@ -3,10 +3,11 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <set>
 
+#include "common/parse.hh"
 #include "fault/fault_injector.hh"
 #include "policy/policy_factory.hh"
 #include "workload/cloud_apps.hh"
@@ -44,39 +45,6 @@ validIdChar(char c)
 {
     return std::isalnum(static_cast<unsigned char>(c)) != 0 ||
            c == '_' || c == '-' || c == '.';
-}
-
-bool
-parseDouble(const std::string &text, double *out)
-{
-    if (text.empty()) {
-        return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == nullptr || *end != '\0') {
-        return false;
-    }
-    *out = v;
-    return true;
-}
-
-bool
-parseCount(const std::string &text, unsigned *out)
-{
-    if (text.empty() || text[0] == '-' || text[0] == '+') {
-        return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(text.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0' ||
-        v > 100000UL) {
-        return false;
-    }
-    *out = static_cast<unsigned>(v);
-    return true;
 }
 
 std::string
@@ -155,34 +123,34 @@ parseTenantLine(const std::string &line, std::size_t line_no,
             }
             spec->policy = value;
         } else if (key == "cold-fraction") {
-            double v = 0.0;
-            if (!parseDouble(value, &v) || v < 0.0 || v > 1.0) {
+            const std::optional<double> v = parseReal(value);
+            if (!v || *v < 0.0 || *v > 1.0) {
                 *error = lineError(line_no,
                                    "cold-fraction '" + value +
                                        "' is not in [0, 1]");
                 return false;
             }
-            spec->coldFraction = v;
+            spec->coldFraction = *v;
         } else if (key == "target") {
-            double v = 0.0;
-            if (!parseDouble(value, &v) || v <= 0.0 || v > 100.0) {
+            const std::optional<double> v = parseReal(value);
+            if (!v || *v <= 0.0 || *v > 100.0) {
                 *error = lineError(line_no,
                                    "target '" + value +
                                        "' is not a percentage in "
                                        "(0, 100]");
                 return false;
             }
-            spec->targetPct = v;
+            spec->targetPct = *v;
         } else if (key == "count") {
-            unsigned v = 0;
-            if (!parseCount(value, &v) || v == 0) {
+            const std::optional<std::uint64_t> v = parseCount(value);
+            if (!v || *v == 0 || *v > 100000) {
                 *error = lineError(line_no,
                                    "count '" + value +
                                        "' is not a positive "
                                        "integer");
                 return false;
             }
-            spec->count = v;
+            spec->count = static_cast<unsigned>(*v);
         } else if (key == "fault-plan") {
             FaultPlan plan;
             std::string plan_error;

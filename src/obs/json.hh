@@ -3,10 +3,10 @@
  * Minimal JSON helpers for the observability exporters.
  *
  * JsonWriter is a small append-only builder that handles string
- * escaping and number formatting; jsonWellFormed() is a strict
- * syntax checker used by tests (and by tools that want to validate
- * a dump before shipping it to Perfetto).  Deliberately tiny: no
- * DOM, no parsing into values, no external dependency.
+ * escaping and number formatting; parseJson() reads a document into
+ * a small DOM, and jsonWellFormed() is that parse with the DOM
+ * thrown away (tests use it to validate exporter dumps).  No
+ * external dependency.
  */
 
 #ifndef THERMOSTAT_OBS_JSON_HH
@@ -28,9 +28,10 @@ std::string jsonEscape(const std::string &s);
 std::string jsonNumber(double value);
 
 /**
- * Strict syntax check of a complete JSON document (one value).
- * Returns false on trailing garbage, unbalanced structure, bad
- * escapes or malformed numbers.
+ * Strict syntax check of a complete JSON document (one value):
+ * parseJson() succeeds.  Returns false on trailing garbage,
+ * unbalanced structure, bad escapes, malformed numbers or numbers
+ * outside the range of a double.
  */
 bool jsonWellFormed(const std::string &text);
 

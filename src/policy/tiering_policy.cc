@@ -1,46 +1,15 @@
 #include "policy/tiering_policy.hh"
 
-#include <cerrno>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "migrate/migration_queue.hh"
 #include "obs/metrics.hh"
 
 namespace thermostat
 {
-
-namespace
-{
-
-bool
-parseDouble(const std::string &value, double *out)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (errno != 0 || end == value.c_str() || *end != '\0') {
-        return false;
-    }
-    *out = parsed;
-    return true;
-}
-
-bool
-parseUint(const std::string &value, std::uint64_t *out)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(value.c_str(), &end, 10);
-    if (errno != 0 || end == value.c_str() || *end != '\0') {
-        return false;
-    }
-    *out = parsed;
-    return true;
-}
-
-} // namespace
 
 const std::vector<PolicyParamKey> &
 policyParamKeys()
@@ -69,57 +38,60 @@ bool
 setPolicyParam(PolicyParams &params, const std::string &key,
                const std::string &value, std::string *error)
 {
-    double d = 0.0;
-    std::uint64_t u = 0;
+    const std::optional<double> d = parseReal(value);
+    const std::optional<std::uint64_t> u = parseCount(value);
     if (key == "cold-fraction") {
-        if (!parseDouble(value, &d) || d < 0.0 || d > 1.0) {
+        if (!d || *d < 0.0 || *d > 1.0) {
             *error = "expects a fraction in [0,1]";
             return false;
         }
-        params.coldFraction = d;
+        params.coldFraction = *d;
     } else if (key == "decision-period-sec") {
-        if (!parseDouble(value, &d) || d <= 0.0) {
+        // The period must also fit in Ns.
+        if (!d || *d <= 0.0 ||
+            !(*d * static_cast<double>(kNsPerSec) < 0x1p63)) {
             *error = "expects a positive number of seconds";
             return false;
         }
         params.decisionPeriod = static_cast<Ns>(
-            d * static_cast<double>(kNsPerSec));
+            *d * static_cast<double>(kNsPerSec));
     } else if (key == "idle-scans-to-demote") {
-        if (!parseUint(value, &u) || u == 0) {
+        if (!u || *u == 0 ||
+            *u > std::numeric_limits<unsigned>::max()) {
             *error = "expects a positive integer";
             return false;
         }
-        params.idleScansToDemote = static_cast<unsigned>(u);
+        params.idleScansToDemote = static_cast<unsigned>(*u);
     } else if (key == "promote-rate-threshold") {
-        if (!parseDouble(value, &d) || d < 0.0) {
+        if (!d || *d < 0.0) {
             *error = "expects a non-negative rate";
             return false;
         }
-        params.promoteRateThreshold = d;
+        params.promoteRateThreshold = *d;
     } else if (key == "promote-batch") {
-        if (!parseUint(value, &u)) {
+        if (!u) {
             *error = "expects a non-negative integer";
             return false;
         }
-        params.promoteBatch = static_cast<std::size_t>(u);
+        params.promoteBatch = static_cast<std::size_t>(*u);
     } else if (key == "queue-capacity") {
-        if (!parseUint(value, &u) || u == 0) {
+        if (!u || *u == 0) {
             *error = "expects a positive integer";
             return false;
         }
-        params.queueCapacity = static_cast<std::size_t>(u);
+        params.queueCapacity = static_cast<std::size_t>(*u);
     } else if (key == "queue-service-bytes") {
-        if (!parseUint(value, &u)) {
+        if (!u) {
             *error = "expects a byte count (0 = unlimited)";
             return false;
         }
-        params.queueServiceBytes = u;
+        params.queueServiceBytes = *u;
     } else if (key == "queue-busy-threshold") {
-        if (!parseDouble(value, &d) || d <= 0.0 || d > 1.0) {
+        if (!d || *d <= 0.0 || *d > 1.0) {
             *error = "expects a fraction in (0,1]";
             return false;
         }
-        params.queueBusyThreshold = d;
+        params.queueBusyThreshold = *d;
     } else {
         *error = "unknown key";
         return false;

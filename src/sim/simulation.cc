@@ -25,6 +25,25 @@ Simulation::resolveShards(const SimConfig &config)
     return std::min(std::max(requested, 1u), kMachineLanes);
 }
 
+Count
+Simulation::sampleWeight(const SimConfig &config, double mem_ref_rate)
+{
+    const double epoch_sec = static_cast<double>(config.epoch) /
+                             static_cast<double>(kNsPerSec);
+    return static_cast<Count>(
+        mem_ref_rate * epoch_sec /
+            static_cast<double>(config.samplesPerEpoch) +
+        0.5);
+}
+
+double
+Simulation::minMemRefRate(const SimConfig &config)
+{
+    return static_cast<double>(config.samplesPerEpoch) * 0.5 *
+           static_cast<double>(kNsPerSec) /
+           static_cast<double>(config.epoch);
+}
+
 namespace
 {
 
@@ -357,10 +376,7 @@ Simulation::startRun()
     const double rate = workload_->memRefRate();
     run_.epochSec = static_cast<double>(config_.epoch) /
                     static_cast<double>(kNsPerSec);
-    run_.weight = static_cast<Count>(
-        rate * run_.epochSec /
-            static_cast<double>(config_.samplesPerEpoch) +
-        0.5);
+    run_.weight = sampleWeight(config_, rate);
     TSTAT_ASSERT(run_.weight >= 1,
                  "sample weight underflow; lower "
                  "samplesPerEpoch or raise access rate");

@@ -295,6 +295,19 @@ class Simulation
      */
     static unsigned resolveShards(const SimConfig &config);
 
+    /**
+     * Real accesses each timing sample stands for: memRefRate x
+     * epoch / samplesPerEpoch, rounded.  It is 0 when
+     * @p mem_ref_rate is below minMemRefRate(), which startRun()
+     * refuses; tools that accept traces check it first so a slow
+     * trace is a usage error rather than a panic.
+     */
+    static Count sampleWeight(const SimConfig &config,
+                              double mem_ref_rate);
+
+    /** The lowest memRefRate whose sampleWeight() is >= 1. */
+    static double minMemRefRate(const SimConfig &config);
+
     /** Install a per-epoch callback (custom policies in benches). */
     void setEpochHook(EpochHook hook) { hook_ = std::move(hook); }
 

@@ -142,16 +142,6 @@ TEST(ThreadPool, WaitIsReusableAcrossBatches)
     EXPECT_EQ(count.load(), 11);
 }
 
-TEST(ThreadPool, DefaultJobsHonorsEnvironment)
-{
-    setenv("THERMOSTAT_JOBS", "3", 1);
-    EXPECT_EQ(ThreadPool::defaultJobs(), 3u);
-    setenv("THERMOSTAT_JOBS", "not-a-number", 1);
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
-    unsetenv("THERMOSTAT_JOBS");
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
-}
-
 TEST(SweepRunner, EmptySweepReturnsNothing)
 {
     EXPECT_TRUE(runSweep({}, 4).empty());

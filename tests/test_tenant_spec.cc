@@ -105,8 +105,12 @@ TEST(TenantSpec, RejectsEveryMalformationClass)
          "cold-fraction"},
         {"id=a workload=redis cold-fraction=zero\n",
          "cold-fraction"},
+        {"id=a workload=redis cold-fraction=nan\n",
+         "cold-fraction"},
         {"id=a workload=redis target=0\n", "target"},
         {"id=a workload=redis target=200\n", "target"},
+        {"id=a workload=redis target=nan\n", "target"},
+        {"id=a workload=redis target=inf\n", "target"},
         {"id=a workload=redis frobnicate=1\n", "unknown key"},
         {"id=a workload=redis\nid=a workload=redis\n",
          "duplicate"},

@@ -11,8 +11,10 @@
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/thread_pool.hh"
 
 namespace thermostat
@@ -83,13 +85,25 @@ TEST(ThreadPool, DefaultJobsHonorsEnvironment)
         ThreadPool pool; // threads = 0 resolves via defaultJobs()
         EXPECT_EQ(pool.threadCount(), 3u);
     }
-    // Invalid values fall back to hardware concurrency (>= 1).
-    ::setenv("THERMOSTAT_JOBS", "0", 1);
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
-    ::setenv("THERMOSTAT_JOBS", "banana", 1);
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
+    ::setenv("THERMOSTAT_JOBS", "1024", 1); // kMaxJobs itself
+    EXPECT_EQ(ThreadPool::defaultJobs(), ThreadPool::kMaxJobs);
+
+    // Malformed or out-of-range values fall back to the hardware
+    // concurrency and warn once per process.  Only defaultJobs() is
+    // called here: no pool is ever sized from these values.
+    const unsigned hw = std::thread::hardware_concurrency();
+    const unsigned fallback = hw > 0 ? hw : 1;
+    ScopedLogCapture capture;
+    for (const char *bad : {"0", "banana", "3abc", " 3", "+3", "-1",
+                            "99999999", "1025",
+                            "18446744073709551616"}) {
+        ::setenv("THERMOSTAT_JOBS", bad, 1);
+        EXPECT_EQ(ThreadPool::defaultJobs(), fallback) << bad;
+    }
+    EXPECT_EQ(capture.count(LogKind::Warn), 1u);
+    EXPECT_TRUE(capture.contains("THERMOSTAT_JOBS='0'"));
     ::unsetenv("THERMOSTAT_JOBS");
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
+    EXPECT_EQ(ThreadPool::defaultJobs(), fallback);
 }
 
 TEST(ThreadPool, WaitRethrowsFirstJobException)

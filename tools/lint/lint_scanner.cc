@@ -1,10 +1,12 @@
 #include "lint_scanner.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
+#include <optional>
 #include <regex>
 #include <sstream>
 
+#include "common/parse.hh"
 #include "lint_source.hh"
 
 namespace thermostat
@@ -179,6 +181,9 @@ scanLine(const std::string &rel, const std::vector<LineView> &lines,
         p.push_back({"unsafe-c-api",
                      std::regex(R"(\b(strcpy|strcat|sprintf|vsprintf|gets|strtok)\s*\()"),
                      "unbounded C string API"});
+        p.push_back({"ban-c-numeric-parse",
+                     std::regex(R"(\b(strto(d|f|ld|l|ul|ll|ull)|ato(f|i|l|ll)|sto(d|f|ld|i|l|ul|ll|ull))\s*\()"),
+                     "C/stdlib numeric parse"});
         p.push_back({"hot-path-unordered-map",
                      std::regex(R"(\bstd\s*::\s*unordered_map\s*<)"),
                      "std::unordered_map"});
@@ -363,22 +368,22 @@ scanRng(const std::vector<LineView> &lines, std::size_t index,
         construction = false;
     }
     std::smatch saltMatch;
-    const bool hasSalt =
-        std::regex_search(line.code, saltMatch, kSalt);
-    if (!construction && !hasSalt) {
+    std::optional<std::uint64_t> salt;
+    if (std::regex_search(line.code, saltMatch, kSalt)) {
+        std::string digits = saltMatch[2];
+        digits.erase(std::remove(digits.begin(), digits.end(), '\''),
+                     digits.end());
+        salt = parseCount(digits, 16);
+    }
+    if (!construction && !salt) {
         return;
     }
     RngFact fact;
     fact.at = siteAt(lines, index);
     fact.construction = construction;
     fact.args = trim(args);
-    if (hasSalt) {
-        std::string digits = saltMatch[2];
-        digits.erase(std::remove(digits.begin(), digits.end(), '\''),
-                     digits.end());
-        fact.hasSalt = true;
-        fact.salt = std::strtoull(digits.c_str(), nullptr, 16);
-    }
+    fact.hasSalt = salt.has_value();
+    fact.salt = salt.value_or(0);
     facts->rngs.push_back(std::move(fact));
 }
 
@@ -603,6 +608,16 @@ encodeSite(const FactSite &site)
     return os.str();
 }
 
+/** A numeric cache field; a malformed one clears @p ok, which
+ * makes the whole cache cold. */
+std::uint64_t
+cacheCount(const std::string &field, bool *ok, int base = 10)
+{
+    const std::optional<std::uint64_t> value = parseCount(field, base);
+    *ok = *ok && value.has_value();
+    return value.value_or(0);
+}
+
 /** Decode the 4 site fields starting at fields[at]. */
 bool
 decodeSite(const std::vector<std::string> &fields, std::size_t at,
@@ -611,7 +626,8 @@ decodeSite(const std::vector<std::string> &fields, std::size_t at,
     if (fields.size() < at + 4) {
         return false;
     }
-    site->line = std::strtoull(fields[at].c_str(), nullptr, 10);
+    bool ok = true;
+    site->line = cacheCount(fields[at], &ok);
     site->shardMarked =
         fields[at + 1].find('s') != std::string::npos;
     site->rngMarked = fields[at + 1].find('r') != std::string::npos;
@@ -623,7 +639,7 @@ decodeSite(const std::vector<std::string> &fields, std::size_t at,
         }
     }
     site->snippet = fields[at + 3];
-    return true;
+    return ok;
 }
 
 } // namespace
@@ -769,8 +785,12 @@ parseFacts(const std::vector<std::string> &lines, std::size_t *pos,
         if (fields.size() != 3 || fields[0] != "F") {
             return false;
         }
+        bool ok = true;
         out->path = fields[1];
-        out->hash = std::strtoull(fields[2].c_str(), nullptr, 16);
+        out->hash = cacheCount(fields[2], &ok, 16);
+        if (!ok) {
+            return false;
+        }
         ++*pos;
     }
     while (*pos < lines.size()) {
@@ -788,7 +808,7 @@ parseFacts(const std::vector<std::string> &lines, std::size_t *pos,
         if (tag == "L" && fields.size() == 5) {
             Finding f;
             f.file = out->path;
-            f.line = std::strtoull(fields[1].c_str(), nullptr, 10);
+            f.line = cacheCount(fields[1], &ok);
             f.rule = fields[2];
             f.message = fields[3];
             f.snippet = fields[4];
@@ -817,7 +837,7 @@ parseFacts(const std::vector<std::string> &lines, std::size_t *pos,
             f.construction =
                 fields[5].find('c') != std::string::npos;
             f.hasSalt = fields[5].find('h') != std::string::npos;
-            f.salt = std::strtoull(fields[6].c_str(), nullptr, 16);
+            f.salt = cacheCount(fields[6], &ok, 16);
             f.args = fields[7];
             out->rngs.push_back(std::move(f));
         } else if (tag == "D" && fields.size() == 8) {
@@ -832,10 +852,8 @@ parseFacts(const std::vector<std::string> &lines, std::size_t *pos,
         } else if (tag == "X" && fields.size() == 5) {
             MethodFact f;
             f.name = fields[1];
-            f.sigLine =
-                std::strtoull(fields[2].c_str(), nullptr, 10);
-            f.bodyEnd =
-                std::strtoull(fields[3].c_str(), nullptr, 10);
+            f.sigLine = cacheCount(fields[2], &ok);
+            f.bodyEnd = cacheCount(fields[3], &ok);
             f.laneScoped = fields[4].find('l') != std::string::npos;
             f.synced = fields[4].find('s') != std::string::npos;
             f.blessed = fields[4].find('b') != std::string::npos;

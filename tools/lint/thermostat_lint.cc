@@ -38,7 +38,8 @@ using namespace thermostat::lint;
 namespace
 {
 
-const char *const kCacheHeader = "thermostat-lint-cache v2";
+// Bumped whenever a rule changes what a cached file yields.
+const char *const kCacheHeader = "thermostat-lint-cache v3";
 
 bool
 lintableExtension(const fs::path &p)

@@ -30,17 +30,17 @@
  * (run_benches.sh --update-baseline wires it up).
  */
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "obs/json.hh"
 
 using namespace thermostat;
@@ -78,25 +78,22 @@ nextArg(int argc, char **argv, int &i)
 }
 
 /**
- * A tolerance percentage: the whole token must parse to a finite,
- * non-negative number.  Anything else names @p flag and exits 2 (a
- * malformed tolerance must not silently become 0%).
+ * A tolerance percentage: finite and non-negative.  Anything else
+ * names @p flag and exits 2 (a malformed tolerance must not
+ * silently become 0%).
  */
 double
 parsePct(const char *flag, const char *text)
 {
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno != 0 ||
-        !std::isfinite(v) || v < 0.0) {
+    const std::optional<double> v = parseReal(text);
+    if (!v || *v < 0.0) {
         std::fprintf(stderr,
                      "perf_diff: bad %s '%s': expected a finite "
                      "percentage >= 0\n",
                      flag, text);
         std::exit(2);
     }
-    return v;
+    return *v;
 }
 
 /** Read an entire file; exit 2 when unreadable. */

@@ -7,7 +7,8 @@
  * captured to a per-benchmark log; once everything has finished the
  * logs are replayed in the fixed benchmark order, so the combined
  * output is byte-stable regardless of how the processes interleaved.
- * Worker count honors THERMOSTAT_JOBS (or --jobs N).
+ * Worker count honors THERMOSTAT_JOBS (or --jobs N, 0 = auto, at
+ * most ThreadPool::kMaxJobs).
  *
  * Usage:
  *   run_all [--quick] [--jobs N] [--bench-dir DIR] [--log-dir DIR]
@@ -25,9 +26,11 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "common/thread_pool.hh"
 
 namespace
@@ -113,8 +116,16 @@ main(int argc, char **argv)
         } else if (arg == "--list") {
             list_only = true;
         } else if (arg == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            const std::optional<std::uint64_t> n =
+                thermostat::parseCount(argv[++i]);
+            if (!n || *n > thermostat::ThreadPool::kMaxJobs) {
+                std::fprintf(stderr,
+                             "run_all: bad --jobs '%s': expected an "
+                             "integer in [0, %u]\n",
+                             argv[i], thermostat::ThreadPool::kMaxJobs);
+                return 2;
+            }
+            jobs = static_cast<unsigned>(*n);
         } else if (arg == "--bench-dir" && i + 1 < argc) {
             bench_dir = argv[++i];
         } else if (arg == "--log-dir" && i + 1 < argc) {

@@ -27,17 +27,17 @@
  */
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "host/datacenter_host.hh"
 #include "policy/policy_factory.hh"
 #include "sim/app_tuning.hh"
@@ -141,40 +141,29 @@ badOperand(char **argv, int i, const char *expected)
     usage(argv[0]);
 }
 
-/**
- * Strict numeric operands: the whole token must parse, the value
- * must be finite and inside [lo, hi]; anything else exits 2.
- */
+/** A finite operand inside [lo, hi]; anything else exits 2. */
 double
 realArg(int argc, char **argv, int &i, double lo, double hi,
         const char *expected)
 {
-    const char *text = nextArg(argc, argv, i);
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno != 0 ||
-        !std::isfinite(v) || v < lo || v > hi) {
+    const std::optional<double> v = parseReal(nextArg(argc, argv, i));
+    if (!v || *v < lo || *v > hi) {
         badOperand(argv, i, expected);
     }
-    return v;
+    return *v;
 }
 
-/** Decimal digits only (strtoull alone would accept a sign). */
+/** A decimal-digits operand inside [lo, hi]; else exits 2. */
 std::uint64_t
 countArg(int argc, char **argv, int &i, std::uint64_t lo,
          std::uint64_t hi, const char *expected)
 {
-    const char *text = nextArg(argc, argv, i);
-    errno = 0;
-    char *end = nullptr;
-    const bool digits = *text >= '0' && *text <= '9';
-    const unsigned long long v =
-        digits ? std::strtoull(text, &end, 10) : 0;
-    if (!digits || *end != '\0' || errno != 0 || v < lo || v > hi) {
+    const std::optional<std::uint64_t> v =
+        parseCount(nextArg(argc, argv, i));
+    if (!v || *v < lo || *v > hi) {
         badOperand(argv, i, expected);
     }
-    return v;
+    return *v;
 }
 
 /** Longest --duration/--warmup whose sum still fits in Ns. */
@@ -441,13 +430,27 @@ main(int argc, char **argv)
         std::set<std::string> traces;
         for (const TenantSpec &spec : specs) {
             if (spec.workload.compare(0, trace_prefix.size(),
-                                      trace_prefix) == 0 &&
-                traces.insert(spec.workload).second &&
-                TraceWorkload::load(
-                    spec.workload.substr(trace_prefix.size()),
-                    &error) == nullptr) {
+                                      trace_prefix) != 0 ||
+                !traces.insert(spec.workload).second) {
+                continue;
+            }
+            const std::string path =
+                spec.workload.substr(trace_prefix.size());
+            const auto trace = TraceWorkload::load(path, &error);
+            if (trace == nullptr) {
                 std::fprintf(stderr, "--tenants: tenant '%s': %s\n",
                              spec.id.c_str(), error.c_str());
+                return 2;
+            }
+            if (Simulation::sampleWeight(config,
+                                         trace->memRefRate()) == 0) {
+                std::fprintf(stderr,
+                             "--tenants: tenant '%s': trace '%s' "
+                             "memRefRate %g/s is below the minimum "
+                             "%g/s\n",
+                             spec.id.c_str(), path.c_str(),
+                             trace->memRefRate(),
+                             Simulation::minMemRefRate(config));
                 return 2;
             }
         }

@@ -12,13 +12,18 @@
  * model; `replay` runs Thermostat over the recorded stream.  The
  * binary format is documented in workload/trace.hh, so externally
  * generated traces can be imported by writing the same layout.
+ * A malformed or out-of-range operand, or a trace too slow for the
+ * sampled timing stream, exits 2 with a diagnostic.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
+#include "common/parse.hh"
 #include "sim/reporter.hh"
 #include "sim/simulation.hh"
 #include "workload/cloud_apps.hh"
@@ -49,6 +54,17 @@ nextArg(int argc, char **argv, int &i, const char *argv0)
         usage(argv0);
     }
     return argv[++i];
+}
+
+/** Exit 2 naming the flag at argv[i - 1] unless its operand is @p ok. */
+void
+requireOperand(bool ok, char **argv, int i, const char *expected)
+{
+    if (!ok) {
+        std::fprintf(stderr, "bad %s '%s': expected %s\n", argv[i - 1],
+                     argv[i], expected);
+        usage(argv[0]);
+    }
 }
 
 int
@@ -111,7 +127,8 @@ doInfo(const std::string &in)
 }
 
 int
-doReplay(const std::string &in, double target, long duration_sec)
+doReplay(const std::string &in, double target,
+         std::uint64_t duration_sec)
 {
     std::string error;
     auto trace = TraceWorkload::load(in, &error);
@@ -121,8 +138,14 @@ doReplay(const std::string &in, double target, long duration_sec)
     }
     SimConfig config;
     config.params.tolerableSlowdownPct = target;
-    if (duration_sec > 0) {
-        config.duration = static_cast<Ns>(duration_sec) * kNsPerSec;
+    config.duration = static_cast<Ns>(duration_sec) * kNsPerSec;
+    if (Simulation::sampleWeight(config, trace->memRefRate()) == 0) {
+        std::fprintf(stderr,
+                     "trace '%s': memRefRate %g/s is below the "
+                     "minimum %g/s\n",
+                     in.c_str(), trace->memRefRate(),
+                     Simulation::minMemRefRate(config));
+        return 2;
     }
     Simulation sim(std::move(trace), config);
     const SimResult r = sim.run();
@@ -150,27 +173,42 @@ main(int argc, char **argv)
     std::uint64_t refs = 1'000'000;
     std::uint64_t seed = 42;
     double target = 3.0;
-    long duration_sec = 0;
+    std::uint64_t duration_sec = 0; // 0 = the trace's natural length
+    // Longest --duration whose nanosecond count fits in Ns.
+    constexpr std::uint64_t kMaxSeconds =
+        std::numeric_limits<Ns>::max() / kNsPerSec;
 
     for (int i = 2; i < argc; ++i) {
         const char *arg = argv[i];
         if (!std::strcmp(arg, "--workload")) {
             workload = nextArg(argc, argv, i, argv[0]);
         } else if (!std::strcmp(arg, "--refs")) {
-            refs = static_cast<std::uint64_t>(
-                std::atoll(nextArg(argc, argv, i, argv[0])));
+            const std::optional<std::uint64_t> v =
+                parseCount(nextArg(argc, argv, i, argv[0]));
+            requireOperand(v && *v >= 1, argv, i, "a count >= 1");
+            refs = *v;
         } else if (!std::strcmp(arg, "--out")) {
             out = nextArg(argc, argv, i, argv[0]);
         } else if (!std::strcmp(arg, "--in")) {
             in = nextArg(argc, argv, i, argv[0]);
         } else if (!std::strcmp(arg, "--seed")) {
-            seed = static_cast<std::uint64_t>(
-                std::atoll(nextArg(argc, argv, i, argv[0])));
+            const std::optional<std::uint64_t> v =
+                parseCount(nextArg(argc, argv, i, argv[0]));
+            requireOperand(v.has_value(), argv, i,
+                           "an unsigned 64-bit integer");
+            seed = *v;
         } else if (!std::strcmp(arg, "--target")) {
-            target = std::atof(nextArg(argc, argv, i, argv[0]));
+            const std::optional<double> v =
+                parseReal(nextArg(argc, argv, i, argv[0]));
+            requireOperand(v && *v > 0.0 && *v <= 100.0, argv, i,
+                           "a percentage in (0, 100]");
+            target = *v;
         } else if (!std::strcmp(arg, "--duration")) {
-            duration_sec =
-                std::atol(nextArg(argc, argv, i, argv[0]));
+            const std::optional<std::uint64_t> v =
+                parseCount(nextArg(argc, argv, i, argv[0]));
+            requireOperand(v && *v >= 1 && *v <= kMaxSeconds, argv,
+                           i, "whole seconds >= 1");
+            duration_sec = *v;
         } else {
             usage(argv[0]);
         }
