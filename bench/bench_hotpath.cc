@@ -239,7 +239,7 @@ benchSimEpochSampled(std::uint64_t accesses)
                                     AccessSamplerConfig{}.period);
 }
 
-/** Sharded epoch pipeline at @p shards worker threads (same work
+/** Sharded epoch pipeline on @p shards threads (same work
  *  as sim_epoch; results are byte-identical by construction). */
 template <unsigned Shards>
 ScenarioResult

@@ -15,10 +15,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "example_args.hh"
 #include "sim/app_tuning.hh"
 #include "sim/reporter.hh"
 #include "sim/simulation.hh"
@@ -62,8 +62,10 @@ evaluate(const std::string &workload, double slowdown_pct,
 int
 main(int argc, char **argv)
 {
-    const std::string workload = argc > 1 ? argv[1] : "mysql-tpcc";
-    const long seconds = argc > 2 ? std::atol(argv[2]) : 480;
+    const std::string workload =
+        workloadArg(argc, argv, 1, "mysql-tpcc");
+    const long seconds =
+        countArg(argc, argv, 2, "seconds", 480, 1, kMaxExampleSeconds);
     const Ns duration = static_cast<Ns>(seconds) * kNsPerSec;
 
     std::printf("Capacity planning for %s (%lds per "

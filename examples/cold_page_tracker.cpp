@@ -15,11 +15,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "example_args.hh"
 #include "sim/app_tuning.hh"
 #include "sim/reporter.hh"
 #include "sim/simulation.hh"
@@ -30,8 +30,9 @@ using namespace thermostat;
 int
 main(int argc, char **argv)
 {
-    const std::string name = argc > 1 ? argv[1] : "cassandra";
-    const long seconds = argc > 2 ? std::atol(argv[2]) : 120;
+    const std::string name = workloadArg(argc, argv, 1, "cassandra");
+    const long seconds =
+        countArg(argc, argv, 2, "seconds", 120, 1, kMaxExampleSeconds);
 
     SimConfig config;
     config.seed = 42;

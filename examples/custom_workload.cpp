@@ -13,9 +13,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
+#include "example_args.hh"
 #include "sim/reporter.hh"
 #include "sim/simulation.hh"
 
@@ -85,8 +85,10 @@ makeLogStore()
 int
 main(int argc, char **argv)
 {
-    const long seconds = argc > 1 ? std::atol(argv[1]) : 600;
-    const double target = argc > 2 ? std::atof(argv[2]) : 3.0;
+    const long seconds =
+        countArg(argc, argv, 1, "seconds", 600, 1, kMaxExampleSeconds);
+    const double target =
+        realArg(argc, argv, 2, "tolerable_slowdown_pct", 3.0, 0.0, 100.0);
 
     SimConfig config;
     config.seed = 7;

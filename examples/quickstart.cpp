@@ -12,9 +12,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "example_args.hh"
 #include "sim/app_tuning.hh"
 #include "sim/reporter.hh"
 #include "sim/simulation.hh"
@@ -25,9 +25,12 @@ using namespace thermostat;
 int
 main(int argc, char **argv)
 {
-    const std::string name = argc > 1 ? argv[1] : "redis";
-    const double slowdown_pct = argc > 2 ? std::atof(argv[2]) : 3.0;
-    const long seconds = argc > 3 ? std::atol(argv[3]) : 300;
+    const std::string name = workloadArg(argc, argv, 1, "redis");
+    const double slowdown_pct = realArg(
+        argc, argv, 2, "tolerable_slowdown_pct", 3.0, 0.0, 100.0);
+    // 0 runs the workload's natural duration.
+    const long seconds =
+        countArg(argc, argv, 3, "seconds", 300, 0, kMaxExampleSeconds);
 
     SimConfig config;
     config.seed = 42;

@@ -100,10 +100,13 @@ class Rng
     }
 
     /** Uniform double in [0, 1). */
-    double
-    nextDouble()
+    double nextDouble() { return unitDouble(next()); }
+
+    /** The double nextDouble() makes of the raw word @p word. */
+    static double
+    unitDouble(std::uint64_t word)
     {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(word >> 11) * 0x1.0p-53;
     }
 
     /** Bernoulli trial with probability @p p of true. */
@@ -144,7 +147,13 @@ class Rng
  * construction.  The draw sequence and results are identical to
  * calling Rng::nextBounded(bound) each time; patterns that draw
  * against a fixed bound on every reference use this to halve the
- * division count per draw.
+ * division count per draw.  A power-of-two bound needs no division
+ * at all: its threshold is 0 and `r % bound` is `r & (bound - 1)`.
+ *
+ * A draw splits into accept() -- the Rng words, consumed serially --
+ * and reduce(), pure arithmetic on the accepted word, so staged
+ * workload draws (workload/workload.hh) can run the reduction off
+ * the serial path.
  */
 class BoundedDraw
 {
@@ -152,27 +161,40 @@ class BoundedDraw
     BoundedDraw() = default;
 
     explicit BoundedDraw(std::uint64_t bound)
-        : bound_(bound), threshold_((-bound) % bound)
+        : bound_(bound),
+          threshold_((-bound) % bound),
+          pow2_((bound & (bound - 1)) == 0)
     {
         TSTAT_ASSERT(bound != 0, "BoundedDraw(0)");
     }
 
     std::uint64_t bound() const { return bound_; }
 
+    /** The first word at or above the rejection threshold. */
     std::uint64_t
-    operator()(Rng &rng) const
+    accept(Rng &rng) const
     {
         for (;;) {
             const std::uint64_t r = rng.next();
             if (r >= threshold_) {
-                return r % bound_;
+                return r;
             }
         }
     }
 
+    /** The draw an accepted word stands for. */
+    std::uint64_t
+    reduce(std::uint64_t r) const
+    {
+        return pow2_ ? r & (bound_ - 1) : r % bound_;
+    }
+
+    std::uint64_t operator()(Rng &rng) const { return reduce(accept(rng)); }
+
   private:
     std::uint64_t bound_ = 1;
     std::uint64_t threshold_ = 0;
+    bool pow2_ = true;
 };
 
 /**
@@ -186,7 +208,13 @@ class ZipfSampler
     ZipfSampler(std::uint64_t n, double theta);
 
     /** Draw one item; item 0 is hottest. */
-    std::uint64_t sample(Rng &rng) const;
+    std::uint64_t sample(Rng &rng) const
+    {
+        return rankAt(rng.nextDouble());
+    }
+
+    /** The item a uniform draw @p u in [0, 1) selects. */
+    std::uint64_t rankAt(double u) const;
 
     std::uint64_t itemCount() const { return n_; }
     double theta() const { return theta_; }

@@ -89,15 +89,83 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
     if (grainsize == 0) {
         grainsize = 1;
     }
-    for (std::size_t lo = begin; lo < end; lo += grainsize) {
-        const std::size_t hi = std::min(end, lo + grainsize);
-        submit([lo, hi, &fn] {
-            for (std::size_t i = lo; i < hi; ++i) {
-                fn(i);
+    Batch batch;
+    batch.begin = begin;
+    batch.end = end;
+    batch.grainsize = grainsize;
+    batch.chunks = (end - begin + grainsize - 1) / grainsize;
+    batch.fn = &fn;
+    if (batch.chunks > 1) {
+        {
+            MutexLock lock(&mutex_);
+            batches_.push_back(&batch);
+        }
+        // The caller runs the first chunk itself; wake only as many
+        // workers as there are chunks left for them.
+        if (batch.chunks - 1 >= workers_.size()) {
+            workReady_.notify_all();
+        } else {
+            for (std::size_t i = 1; i < batch.chunks; ++i) {
+                workReady_.notify_one();
             }
-        });
+        }
     }
-    wait();
+    runChunk(batch, 0);
+    runChunks(batch);
+    std::exception_ptr error;
+    {
+        // Every chunk is claimed; wait for the workers still running
+        // one, so none touches the batch after it goes out of scope.
+        MutexLock lock(&mutex_);
+        retire(&batch);
+        batchLeft_.wait(mutex_, [this, &batch] {
+            mutex_.assertHeld();
+            return batch.joined == 0;
+        });
+        std::swap(error, batch.error);
+    }
+    if (error) {
+        std::rethrow_exception(error);
+    }
+}
+
+void
+ThreadPool::runChunks(Batch &batch)
+{
+    for (;;) {
+        const std::size_t chunk =
+            batch.next.fetch_add(1, std::memory_order_relaxed);
+        if (chunk >= batch.chunks) {
+            return;
+        }
+        runChunk(batch, chunk);
+    }
+}
+
+void
+ThreadPool::runChunk(Batch &batch, std::size_t chunk)
+{
+    const std::size_t lo = batch.begin + chunk * batch.grainsize;
+    const std::size_t hi = std::min(batch.end, lo + batch.grainsize);
+    try {
+        for (std::size_t i = lo; i < hi; ++i) {
+            (*batch.fn)(i);
+        }
+    } catch (...) {
+        MutexLock lock(&mutex_);
+        if (!batch.error) {
+            batch.error = std::current_exception();
+        }
+    }
+}
+
+void
+ThreadPool::retire(Batch *batch)
+{
+    const auto it = std::find(batches_.begin(), batches_.end(), batch);
+    if (it != batches_.end()) {
+        batches_.erase(it);
+    }
 }
 
 void
@@ -105,17 +173,33 @@ ThreadPool::workerLoop()
 {
     for (;;) {
         std::function<void()> job;
+        Batch *batch = nullptr;
         {
             MutexLock lock(&mutex_);
             workReady_.wait(mutex_, [this] {
                 mutex_.assertHeld();
-                return stopping_ || !queue_.empty();
+                return stopping_ || !queue_.empty() ||
+                       !batches_.empty();
             });
-            if (queue_.empty()) {
+            if (!batches_.empty()) {
+                batch = batches_.front();
+                ++batch->joined;
+            } else if (queue_.empty()) {
                 return; // stopping_ and drained
+            } else {
+                job = std::move(queue_.front());
+                queue_.pop_front();
             }
-            job = std::move(queue_.front());
-            queue_.pop_front();
+        }
+        if (batch != nullptr) {
+            runChunks(*batch);
+            MutexLock lock(&mutex_);
+            // Claims are exhausted: no later worker need join.
+            retire(batch);
+            if (--batch->joined == 0) {
+                batchLeft_.notify_all();
+            }
+            continue;
         }
         try {
             job();

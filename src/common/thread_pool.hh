@@ -7,7 +7,8 @@
  * freely with no locks.  Parallelism lives one level up, where a
  * sweep runs many *independent* Simulation instances at once.  This
  * pool is the only concurrency primitive in the tree: a bounded set
- * of workers draining a FIFO of type-erased jobs.
+ * of workers draining a FIFO of type-erased jobs, and joining the
+ * index batches of parallelFor (the intra-run epoch pipeline).
  *
  * Worker count resolution (ThreadPool::defaultJobs) honors the
  * THERMOSTAT_JOBS environment variable so CI and scripts can pin
@@ -17,6 +18,7 @@
 #ifndef THERMOSTAT_COMMON_THREAD_POOL_HH
 #define THERMOSTAT_COMMON_THREAD_POOL_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -75,11 +77,16 @@ class ThreadPool
 
     /**
      * Run fn(i) for every i in [begin, end), batched into chunks of
-     * at most @p grainsize indices per job, and block until all are
-     * done.  Exceptions propagate like wait(): the first one thrown
-     * by any fn call is rethrown here.  fn must be safe to call
-     * concurrently for distinct indices; within one chunk indices
-     * run in increasing order.
+     * at most @p grainsize indices, and block until all are done.
+     * The calling thread runs the first chunk itself, then claims
+     * chunks alongside the woken workers from one shared counter, so
+     * a call costs one lock and one wake-up, not one queued job per
+     * chunk, and a call made from inside a pool job cannot deadlock
+     * (the caller runs whatever no worker claims).  The first
+     * exception thrown by any fn call is rethrown here, after every
+     * other chunk has run; the rest of the throwing chunk is
+     * skipped.  fn must be safe to call concurrently for distinct
+     * indices; within one chunk indices run in increasing order.
      */
     void parallelFor(std::size_t begin, std::size_t end,
                      std::size_t grainsize,
@@ -98,8 +105,29 @@ class ThreadPool
     static unsigned defaultJobs();
 
   private:
+    /** One parallelFor call, on the caller's stack. */
+    struct Batch
+    {
+        std::size_t begin;
+        std::size_t end;
+        std::size_t grainsize;
+        std::size_t chunks;
+        const std::function<void(std::size_t)> *fn;
+        /** Next unclaimed chunk; chunk 0 is the caller's. */
+        std::atomic<std::size_t> next{1};
+        unsigned joined = 0;      //!< workers inside; under mutex_
+        std::exception_ptr error; //!< first throw; under mutex_
+    };
+
     void workerLoop() TSTAT_EXCLUDES(mutex_);
     void drain() TSTAT_EXCLUDES(mutex_);
+    /** Claim and run chunks of @p batch until none are left. */
+    void runChunks(Batch &batch) TSTAT_EXCLUDES(mutex_);
+    /** Run one chunk, capturing its exception into the batch. */
+    void runChunk(Batch &batch, std::size_t chunk)
+        TSTAT_EXCLUDES(mutex_);
+    /** Stop offering @p batch to workers. */
+    void retire(Batch *batch) TSTAT_REQUIRES(mutex_);
 
     std::vector<std::thread> workers_; //!< ctor/dtor thread only
 
@@ -110,7 +138,10 @@ class ThreadPool
     // condition_variable_any waits on the annotated Mutex directly.
     std::condition_variable_any workReady_; //!< job arrived / stop
     std::condition_variable_any allDone_;   //!< everything drained
+    std::condition_variable_any batchLeft_; //!< a worker left a batch
     std::deque<std::function<void()>> queue_ TSTAT_GUARDED_BY(mutex_);
+    /** parallelFor calls with chunks left to claim. */
+    std::vector<Batch *> batches_ TSTAT_GUARDED_BY(mutex_);
     std::size_t inFlight_ TSTAT_GUARDED_BY(mutex_) =
         0; //!< queued + currently executing
     bool stopping_ TSTAT_GUARDED_BY(mutex_) = false;

@@ -53,12 +53,15 @@ tenantMetricName(const std::string &id, const std::string &leaf)
     return "tenant/" + id + "/" + leaf;
 }
 
-/** Shared worker pool sized from the base config; null = serial. */
+/**
+ * Shared worker pool sized from the base config (the stepping thread
+ * is the shard count's last thread); null = serial.
+ */
 std::unique_ptr<ThreadPool>
 makeSharedPool(const SimConfig &base)
 {
     const unsigned shards = Simulation::resolveShards(base);
-    return shards > 1 ? std::make_unique<ThreadPool>(shards)
+    return shards > 1 ? std::make_unique<ThreadPool>(shards - 1)
                       : nullptr;
 }
 

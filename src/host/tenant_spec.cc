@@ -271,7 +271,8 @@ expandTenantSpecs(const std::vector<TenantSpec> &in,
                 one.id = spec.id + "." + std::to_string(i);
             }
             if (!ids.insert(one.id).second) {
-                *error = "duplicate tenant id '" + one.id + "'";
+                *error = "--tenants: duplicate tenant id '" + one.id +
+                         "'";
                 return false;
             }
             expanded.push_back(std::move(one));

@@ -59,23 +59,23 @@ HotnessPolicy::runPeriod(Ns now)
     };
     std::vector<Hot> hot;
     for (const Addr base : placedHuge_) {
-        const auto it = window_.find(base);
-        if (it == window_.end()) {
+        const Count *count = window_.find(base);
+        if (count == nullptr) {
             continue;
         }
-        if (static_cast<double>(it->value) / period_sec >=
+        if (static_cast<double>(*count) / period_sec >=
             params().promoteRateThreshold) {
-            hot.push_back({base, true, it->value});
+            hot.push_back({base, true, *count});
         }
     }
     for (const Addr base : placedBase_) {
-        const auto it = window_.find(base);
-        if (it == window_.end()) {
+        const Count *count = window_.find(base);
+        if (count == nullptr) {
             continue;
         }
-        if (static_cast<double>(it->value) / period_sec >=
+        if (static_cast<double>(*count) / period_sec >=
             params().promoteRateThreshold) {
-            hot.push_back({base, false, it->value});
+            hot.push_back({base, false, *count});
         }
     }
     std::sort(hot.begin(), hot.end(), [](const Hot &a, const Hot &b) {

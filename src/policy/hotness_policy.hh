@@ -16,7 +16,7 @@
 #ifndef THERMOSTAT_POLICY_HOTNESS_POLICY_HH
 #define THERMOSTAT_POLICY_HOTNESS_POLICY_HH
 
-#include "common/flat_map.hh"
+#include "common/lane_map.hh"
 #include "policy/tiering_policy.hh"
 
 namespace thermostat
@@ -40,7 +40,7 @@ class HotnessPolicy : public TieringPolicy
   private:
     void runPeriod(Ns now);
 
-    FlatMap<Addr, Count> window_; //!< fed per profiled access
+    LaneMap<Count> window_; //!< fed per profiled access
     Ns nextDecision_ = 0;
     Ns lastDecision_ = 0;
 };

@@ -38,12 +38,17 @@ NomadPolicy::onProfiledAccess(Addr base, bool huge, bool write,
     WindowEntry &entry = window_[base];
     if (write) {
         entry.writes += weight;
-        // Dirty-revalidation feed: a write aborts any open
-        // transaction on the page and drops its read replica.
-        transactions()->markDirty(base, nowHint_);
     } else {
         entry.reads += weight;
     }
+}
+
+void
+NomadPolicy::onOrderedWrite(Addr base)
+{
+    // Dirty-revalidation feed: a write aborts any open transaction
+    // on the page and drops its read replica.
+    transactions()->markDirty(base, nowHint_);
 }
 
 void
@@ -83,15 +88,14 @@ NomadPolicy::runPeriod(Ns now)
     };
     std::vector<Hot> hot;
     const auto consider = [&](Addr base, bool huge) {
-        const auto it = window_.find(base);
-        if (it == window_.end() || hasInFlight(base)) {
+        const WindowEntry *entry = window_.find(base);
+        if (entry == nullptr || hasInFlight(base)) {
             return;
         }
-        const Count total = it->value.reads + it->value.writes;
+        const Count total = entry->reads + entry->writes;
         if (static_cast<double>(total) / period_sec >=
             params().promoteRateThreshold) {
-            hot.push_back(
-                {base, huge, it->value.reads, it->value.writes});
+            hot.push_back({base, huge, entry->reads, entry->writes});
         }
     };
     for (const Addr base : placedHuge_) {

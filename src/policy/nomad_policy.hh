@@ -24,7 +24,7 @@
 #ifndef THERMOSTAT_POLICY_NOMAD_POLICY_HH
 #define THERMOSTAT_POLICY_NOMAD_POLICY_HH
 
-#include "common/flat_map.hh"
+#include "common/lane_map.hh"
 #include "policy/tiering_policy.hh"
 
 namespace thermostat
@@ -41,6 +41,8 @@ class NomadPolicy : public TieringPolicy
     bool wantsAccessFeedback() const override { return true; }
     void onProfiledAccess(Addr base, bool huge, bool write,
                           Count weight) override;
+    bool wantsOrderedWrites() const override { return true; }
+    void onOrderedWrite(Addr base) override;
 
     void registerMetrics(MetricRegistry &registry) override;
 
@@ -53,7 +55,7 @@ class NomadPolicy : public TieringPolicy
 
     void runPeriod(Ns now);
 
-    FlatMap<Addr, WindowEntry> window_; //!< fed per profiled access
+    LaneMap<WindowEntry> window_; //!< fed per profiled access
     Ns nextDecision_ = 0;
     Ns lastDecision_ = 0;
     Ns nowHint_ = 0; //!< tick time, for feedback-path events

@@ -26,7 +26,7 @@
 #ifndef THERMOSTAT_POLICY_REMAP_POLICY_HH
 #define THERMOSTAT_POLICY_REMAP_POLICY_HH
 
-#include "common/flat_map.hh"
+#include "common/lane_map.hh"
 #include "policy/tiering_policy.hh"
 
 namespace thermostat
@@ -52,8 +52,8 @@ class RemapPolicy : public TieringPolicy
 
     void runPeriod(Ns now);
 
-    FlatMap<Addr, Count> leafWindow_;  //!< per-leaf window counts
-    FlatMap<Addr, Count> blockWindow_; //!< per-2MB-block counts
+    LaneMap<Count> leafWindow_;  //!< per-leaf window counts
+    LaneMap<Count> blockWindow_; //!< per-2MB-block counts
     Ns nextDecision_ = 0;
     Ns lastDecision_ = 0;
     Count throttleSkips_ = 0; //!< rounds cut short by congestion

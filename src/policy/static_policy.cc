@@ -50,8 +50,8 @@ StaticColdestPolicy::placeOnce(Ns now)
     };
     std::vector<Candidate> candidates;
     space().pageTable().forEachLeaf([&](Addr base, Pte &, bool huge) {
-        const auto it = observed_.find(base);
-        const Count count = it == observed_.end() ? 0 : it->value;
+        const Count *observed = observed_.find(base);
+        const Count count = observed == nullptr ? 0 : *observed;
         candidates.push_back(
             {base, huge, count,
              huge ? kPageSize2M

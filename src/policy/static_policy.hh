@@ -16,7 +16,7 @@
 #ifndef THERMOSTAT_POLICY_STATIC_POLICY_HH
 #define THERMOSTAT_POLICY_STATIC_POLICY_HH
 
-#include "common/flat_map.hh"
+#include "common/lane_map.hh"
 #include "policy/tiering_policy.hh"
 
 namespace thermostat
@@ -40,7 +40,7 @@ class StaticColdestPolicy : public TieringPolicy
   private:
     void placeOnce(Ns now);
 
-    FlatMap<Addr, Count> observed_; //!< fed per profiled access
+    LaneMap<Count> observed_; //!< fed per profiled access
     bool placed_ = false;
 };
 

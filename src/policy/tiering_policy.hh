@@ -182,7 +182,10 @@ class TieringPolicy
      * Access-feedback hook: when wantsAccessFeedback() is true the
      * driver forwards every profiling-stream reference (page base,
      * leaf size, kind, represented real accesses).  Policies that
-     * return false never pay the call.
+     * return false never pay the call.  The call runs on the
+     * profile stream's lane for laneOf(base), concurrently with the
+     * other lanes, so it may touch only state split by that lane
+     * (common/lane_map.hh).
      */
     virtual bool wantsAccessFeedback() const { return false; }
     virtual void
@@ -193,6 +196,16 @@ class TieringPolicy
         (void)write;
         (void)weight;
     }
+
+    /**
+     * Ordered half of the feedback hook: when wantsOrderedWrites()
+     * is true (and feedback is on) the driver also calls
+     * onOrderedWrite() for every profiled write, serially and in
+     * draw order, after the lane batch holding the write has run.
+     * For feedback whose effect depends on the order of writes.
+     */
+    virtual bool wantsOrderedWrites() const { return false; }
+    virtual void onOrderedWrite(Addr base) { (void)base; }
 
     /** Bytes currently placed in slow memory by this policy. */
     virtual std::uint64_t coldBytes() const;

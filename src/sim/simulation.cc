@@ -88,7 +88,7 @@ Simulation::Simulation(std::unique_ptr<Workload> workload,
       profileRng_(config.seed ^ 0x5aadddULL), // rng: profiler
       shards_(resolveShards(config)),
       ownedPool_(shards_ > 1 && shared_pool == nullptr
-                     ? std::make_unique<ThreadPool>(shards_)
+                     ? std::make_unique<ThreadPool>(shards_ - 1)
                      : nullptr),
       pool_(shards_ > 1
                 ? (shared_pool != nullptr ? shared_pool
@@ -233,109 +233,267 @@ Simulation::recordEpoch(Ns at, const EpochBase &base, Ns actual,
 }
 
 void
+Simulation::fanOut(std::size_t count,
+                   const std::function<void(std::size_t)> &fn)
+{
+    if (pool_ != nullptr) {
+        pool_->parallelFor(0, count, 1, fn);
+    } else {
+        for (std::size_t i = 0; i < count; ++i) {
+            fn(i);
+        }
+    }
+}
+
+// Resolve tasks and lanes each own disjoint slots of the buffers.
+// shard: serial-only -- the caller of every fan-out below.
+template <typename LaneFn, typename ReplayFn>
+void
+Simulation::runStaged(Rng &rng, std::uint64_t count, LaneFn &&lane_fn,
+                      bool ordered, ReplayFn &&replay)
+{
+    if (laneRefs_.empty()) {
+        for (std::vector<StagedRef> &buffer : staged_) {
+            buffer.resize(kStageBlock);
+        }
+        laneRefs_.resize(kLaneStore);
+        laneNotes_.resize(kLaneStore);
+        drawLanes_.resize(kLaneStore);
+    }
+    // The draw runs on a copy of the stream's Rng: its state is
+    // written every word, and a member would share cache lines with
+    // what the pool's tasks read.
+    Workload &workload = *workload_;
+    const auto draw_block = [&](std::uint64_t block) {
+        ProfileScope pscope(&profiler_, "ref_draw");
+        StagedRef *out = staged_[block % 2].data();
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(kStageBlock,
+                                    count - block * kStageBlock));
+        Rng local = rng;
+        workload.draw(local, out, n);
+        rng = local;
+    };
+
+    // The lane store holds resolved chunks until the lanes run: chunk
+    // slot c covers [c, c + 1) * kStageChunk, its references sorted
+    // by lane (stable), lane l's run in [bounds[c][l], bounds[c][l+1]).
+    MemRef *const refs = laneRefs_.data();
+    std::uint8_t *const notes = laneNotes_.data();
+    std::uint8_t *const draw_lanes = drawLanes_.data();
+    constexpr std::size_t kBounds = kMachineLanes + 1;
+    std::array<std::array<std::uint16_t, kBounds>, kLaneChunks> bounds;
+    std::size_t stored = 0; // chunk slots filled
+    const auto run_lanes = [&] {
+        {
+            // Each lane takes its runs chunk by chunk, so it sees its
+            // references in draw order.
+            ProfileScope pscope(&profiler_, "lane_exec");
+            fanOut(kMachineLanes, [&](std::size_t lane) {
+                for (std::size_t c = 0; c < stored; ++c) {
+                    for (std::size_t k = bounds[c][lane];
+                         k < bounds[c][lane + 1]; ++k) {
+                        const std::uint8_t note = lane_fn(
+                            static_cast<unsigned>(lane), refs[k]);
+                        if (ordered) {
+                            notes[k] = note;
+                        }
+                    }
+                }
+            });
+        }
+        if (ordered) {
+            // Draw order again: the i-th draw of a chunk is the next
+            // unvisited slot of its lane's run.
+            ProfileScope pscope(&profiler_, "ordered_replay");
+            for (std::size_t c = 0; c < stored; ++c) {
+                std::array<std::uint16_t, kBounds> at = bounds[c];
+                for (std::size_t i = bounds[c][0];
+                     i < bounds[c][kMachineLanes]; ++i) {
+                    const std::size_t k = at[draw_lanes[i]]++;
+                    replay(refs[k], notes[k]);
+                }
+            }
+        }
+        stored = 0;
+    };
+
+    const std::uint64_t blocks = (count + kStageBlock - 1) / kStageBlock;
+    if (blocks > 0) {
+        draw_block(0);
+    }
+    for (std::uint64_t block = 0; block < blocks; ++block) {
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(kStageBlock,
+                                    count - block * kStageBlock));
+        const std::size_t chunks = (n + kStageChunk - 1) / kStageChunk;
+        const StagedRef *const in = staged_[block % 2].data();
+        // Task 0 runs on this thread and draws the next block into
+        // the other buffer; the rest resolve this block chunk by
+        // chunk into the lane store.
+        Ns drawn_at = 0;
+        fanOut(1 + chunks, [&](std::size_t task) {
+            if (task == 0) {
+                if (block + 1 < blocks) {
+                    draw_block(block + 1);
+                }
+                drawn_at = profiler_.enabled() ? profiler_.now() : 0;
+                return;
+            }
+            const std::size_t chunk = task - 1;
+            const std::size_t first = chunk * kStageChunk;
+            const std::size_t size = std::min(n - first, kStageChunk);
+            const std::size_t slot = stored + chunk;
+            const std::size_t base = slot * kStageChunk;
+            // A stable counting sort by lane: resolve into draw order
+            // first, then scatter into the slot's lane runs.
+            std::array<MemRef, kStageChunk> resolved;
+            std::array<std::uint8_t, kStageChunk> lanes;
+            std::array<std::uint16_t, kBounds> at{};
+            workload.resolve(in + first, resolved.data(), size);
+            for (std::size_t i = 0; i < size; ++i) {
+                lanes[i] =
+                    static_cast<std::uint8_t>(laneOf(resolved[i].addr));
+                ++at[lanes[i] + 1];
+            }
+            at[0] = static_cast<std::uint16_t>(base);
+            for (std::size_t lane = 1; lane < kBounds; ++lane) {
+                at[lane] = static_cast<std::uint16_t>(at[lane] +
+                                                      at[lane - 1]);
+            }
+            bounds[slot] = at;
+            for (std::size_t i = 0; i < size; ++i) {
+                refs[at[lanes[i]]++] = resolved[i];
+            }
+            if (ordered) {
+                std::copy_n(lanes.begin(), size, draw_lanes + base);
+            }
+        });
+        if (profiler_.enabled()) {
+            profiler_.leave(profiler_.enter("resolve"),
+                            profiler_.now() - drawn_at);
+        }
+        stored += chunks;
+        if (stored + kStageChunks > kLaneChunks || block + 1 == blocks) {
+            run_lanes();
+        }
+    }
+}
+
+// shard: lane-local -- machine_ is reached only from the lane
+// callback, which runStaged calls on each reference's own lane.
+void
 Simulation::runTimingStream(Count weight, Ns &epoch_actual,
                             Ns &epoch_baseline)
 {
     TraceScope scope(&tracer_, "timing_stream");
     ProfileScope pscope(&profiler_, "timing_stream");
-    // Draw the epoch's references serially (rng_ order is the run's
-    // reference order), bucket them by machine lane, then execute
-    // the lanes: concurrently on the pool, or inline in lane order
-    // at --shards 1.  Each lane's machine state sees precisely the
-    // lane-subsequence of the draw order, and every cross-lane
-    // accumulation is a commutative sum, so the merged outcome is
-    // identical for any worker count.
-    for (std::vector<MemRef> &bucket : laneRefs_) {
-        bucket.clear();
-    }
-    for (unsigned i = 0; i < config_.samplesPerEpoch; ++i) {
-        const MemRef ref = workload_->sample(rng_);
-        laneRefs_[laneOf(ref.addr)].push_back(ref);
-    }
-    std::array<Ns, kMachineLanes> actual{};
-    std::array<Ns, kMachineLanes> baseline{};
-    const auto run_lane = [&](std::size_t lane) {
-        Ns lane_actual = 0;
-        Ns lane_baseline = 0;
-        for (const MemRef &ref : laneRefs_[lane]) {
+    // Each lane's machine state sees precisely the lane-subsequence
+    // of the draw order, and every cross-lane accumulation is a
+    // commutative sum, so the merged outcome is identical for any
+    // worker count.
+    struct alignas(64) LaneSum
+    {
+        Ns actual = 0;
+        Ns baseline = 0;
+    };
+    std::array<LaneSum, kMachineLanes> sums{};
+    runStaged(
+        rng_, config_.samplesPerEpoch,
+        [&](unsigned lane, const MemRef &ref) -> std::uint8_t {
             const AccessOutcome out = machine_.access(
                 ref.addr, ref.type, weight, ref.burstLines);
-            lane_actual += out.actualLatency;
-            lane_baseline += out.baselineLatency;
-        }
-        actual[lane] = lane_actual;
-        baseline[lane] = lane_baseline;
-    };
-    if (pool_ != nullptr) {
-        pool_->parallelFor(0, kMachineLanes, 1, run_lane);
-    } else {
-        for (std::size_t lane = 0; lane < kMachineLanes; ++lane) {
-            run_lane(lane);
-        }
-    }
-    for (unsigned lane = 0; lane < kMachineLanes; ++lane) {
-        epoch_actual += actual[lane];
-        epoch_baseline += baseline[lane];
+            sums[lane].actual += out.actualLatency;
+            sums[lane].baseline += out.baselineLatency;
+            return 0;
+        },
+        false, [](const MemRef &, std::uint8_t) {});
+    for (const LaneSum &sum : sums) {
+        epoch_actual += sum.actual;
+        epoch_baseline += sum.baseline;
     }
 }
 
-// shard: serial-only -- one fused loop in draw order.
+// Walk, A/D bits, trap counts and feedback run in the lane callback;
+// the replay callback runs serially once each lane batch has joined.
+// shard: lane-local -- each lane touches only its references' pages.
 void
 Simulation::runProfileStream(std::uint64_t profile_samples,
                              Count pebs_budget)
 {
     TraceScope scope(&tracer_, "profile_stream");
     ProfileScope pscope(&profiler_, "profile_stream");
-    // The stream's cost is the serial reference draw, not the walks,
-    // so fanning out only the walks does not pay; and the policy
-    // feedback and the PEBS modulo counter are order-sensitive.
+    // The lanes walk, set the A/D bits, feed the policy's lane-split
+    // window and, outside PEBS mode, count poisoned accesses.  What
+    // depends on the order of draws across lanes -- the PEBS modulo
+    // counter with its record budget, and ordered write feedback --
+    // is replayed serially in draw order after each lane batch.
     const bool pebs =
         config_.machine.countingMode == CountingMode::Pebs;
     const bool feedback = config_.thermostatEnabled &&
                           policy_->wantsAccessFeedback();
+    const bool ordered_writes =
+        feedback && policy_->wantsOrderedWrites();
+    constexpr std::uint8_t kPoisoned = 1;
+    constexpr std::uint8_t kHuge = 2;
     // Grab the component references up front: the Machine accessors
     // that flush deferred device state must not run per-sample.
     PageTable &table = machine_.space().pageTable();
     BadgerTrap &trap = machine_.trap();
+    const Count weight = config_.profileWeight;
+    const bool ordered = pebs || ordered_writes;
     Count pebs_records = 0;
-    for (std::uint64_t i = 0; i < profile_samples; ++i) {
-        const MemRef ref = workload_->sample(profileRng_);
-        const WalkResult wr = table.walk(ref.addr);
-        TSTAT_ASSERT(wr.mapped(), "profile ref unmapped");
-        wr.pte->setAccessed();
-        if (ref.type == AccessType::Write) {
-            wr.pte->setDirty();
-        }
-        if (feedback) {
-            policy_->onProfiledAccess(
-                wr.huge ? alignDown2M(ref.addr)
-                        : alignDown4K(ref.addr),
-                wr.huge, ref.type == AccessType::Write,
-                config_.profileWeight);
-        }
-        if (!wr.pte->poisoned()) {
-            continue;
-        }
-        const Addr base = wr.huge ? alignDown2M(ref.addr)
+    runStaged(
+        profileRng_, profile_samples,
+        [&](unsigned, const MemRef &ref) -> std::uint8_t {
+            const WalkResult wr = table.walk(ref.addr);
+            TSTAT_ASSERT(wr.mapped(), "profile ref unmapped");
+            const bool write = ref.type == AccessType::Write;
+            // Store only on a change: the leaves of neighbouring 2MB
+            // regions share cache lines across lanes.
+            if (!wr.pte->accessed()) {
+                wr.pte->setAccessed();
+            }
+            if (write && !wr.pte->dirty()) {
+                wr.pte->setDirty();
+            }
+            const Addr base = wr.huge ? alignDown2M(ref.addr)
+                                      : alignDown4K(ref.addr);
+            if (feedback) {
+                policy_->onProfiledAccess(base, wr.huge, write,
+                                          weight);
+            }
+            const bool poisoned = wr.pte->poisoned();
+            if (poisoned && !pebs) {
+                trap.recordAccess(base, weight);
+            }
+            return static_cast<std::uint8_t>((poisoned ? kPoisoned : 0) |
+                                             (wr.huge ? kHuge : 0));
+        },
+        ordered,
+        [&](const MemRef &ref, std::uint8_t note) {
+            const Addr base = (note & kHuge) != 0
+                                  ? alignDown2M(ref.addr)
                                   : alignDown4K(ref.addr);
-        if (!pebs) {
-            trap.recordAccess(base, config_.profileWeight);
-            continue;
-        }
-        // PEBS: one record per pebsPeriod monitored accesses,
-        // silently dropped beyond the record-rate budget -- which is
-        // exactly why 1000Hz cannot support 30K accesses/sec of
-        // monitoring (Sec 6.1.2).
-        if (++pebsMonitoredHits_ % config_.pebsPeriod != 0) {
-            continue;
-        }
-        if (pebs_records >= pebs_budget) {
-            continue;
-        }
-        ++pebs_records;
-        trap.recordAccess(
-            base, config_.profileWeight * config_.pebsPeriod);
-    }
+            if (ordered_writes && ref.type == AccessType::Write) {
+                policy_->onOrderedWrite(base);
+            }
+            // PEBS: one record per pebsPeriod monitored accesses,
+            // silently dropped beyond the record-rate budget --
+            // which is exactly why 1000Hz cannot support 30K
+            // accesses/sec of monitoring (Sec 6.1.2).
+            if (!pebs || (note & kPoisoned) == 0) {
+                return;
+            }
+            if (++pebsMonitoredHits_ % config_.pebsPeriod != 0) {
+                return;
+            }
+            if (pebs_records >= pebs_budget) {
+                return;
+            }
+            ++pebs_records;
+            trap.recordAccess(base, weight * config_.pebsPeriod);
+        });
 }
 
 // shard: merge-barrier -- same contract as epochBase().

@@ -55,12 +55,15 @@ struct SimConfig
     unsigned samplesPerEpoch = 40000;
 
     /**
-     * Worker threads for the timing stream: each epoch's timing
-     * references are drawn serially, bucketed into the
-     * kMachineLanes address lanes, and the lanes execute on this
-     * many pool workers (1 = inline, in lane order).  0 = auto
-     * (min(kMachineLanes, ThreadPool::defaultJobs())).  The
-     * profiling stream always runs serially in draw order.  The
+     * Threads for the epoch pipeline: the stepping thread plus
+     * shards - 1 pool workers.  Both streams draw their references'
+     * Rng words serially, resolve them to addresses and bucket them
+     * into the kMachineLanes address lanes on the pool, and run the
+     * lanes (timing accesses; profile walks, A/D bits, trap counts
+     * and policy feedback) on these threads (1 = inline, in lane
+     * order); the profile stream's order-sensitive effects are
+     * replayed serially in draw order.
+     * 0 = auto (min(kMachineLanes, ThreadPool::defaultJobs())).  The
      * lane split is fixed, so every value produces byte-identical
      * results; `--shards 1` is the reference.
      */
@@ -236,7 +239,8 @@ class Simulation
     /**
      * @param shared_pool Optional externally owned worker pool for
      *     the sharded epoch pipeline; null (the default) makes the
-     *     simulation own a pool sized to the resolved shard count.
+     *     simulation own a pool of resolved-shard-count - 1 workers
+     *     (the stepping thread joins every fan-out).
      *     The datacenter host passes one pool shared by all tenant
      *     simulations so N tenants do not spawn N * shards threads.
      *     Ignored when the resolved shard count is 1.  Lane
@@ -366,7 +370,8 @@ class Simulation
 
     const SimConfig &config() const { return config_; }
 
-    /** Effective worker count after auto resolution. */
+    /** Effective thread count (pool workers + the stepping thread)
+     *  after auto resolution. */
     unsigned shards() const { return shards_; }
 
     /** Null unless the config's fault plan is non-empty. */
@@ -375,11 +380,52 @@ class Simulation
   private:
     void recordFootprint(SimResult &result, Ns now);
 
-    /** One epoch's timing stream: serial draw, lane execution. */
+    /**
+     * Staged-pipeline geometry.  Draws are made in blocks of
+     * kStageBlock into two buffers, resolved in chunks of
+     * kStageChunk into a lane store of kLaneChunks chunks, and the
+     * lanes run when the store is full or the stream ends.  The store
+     * holds a default timing epoch (40,000 references), so each lane
+     * runs its whole epoch share at once and its LLC slice stays
+     * warm.  The two draw buffers (32 bytes a draw, 512 KB) and the
+     * store (18 bytes a reference, 720 KB) take 1.2 MB.
+     */
+    static constexpr std::size_t kStageBlock = 8192;
+    static constexpr std::size_t kStageChunk = 512;
+    static constexpr std::size_t kStageChunks =
+        kStageBlock / kStageChunk;
+    static constexpr std::size_t kLaneChunks = 5 * kStageChunks;
+    static constexpr std::size_t kLaneStore = kLaneChunks * kStageChunk;
+    static_assert(kLaneStore <= 65536, "lane-store positions are 16-bit");
+
+    /**
+     * The staged pipeline both epoch streams run through.  This
+     * thread draws block b+1 from @p rng (Workload::draw, the serial
+     * stage) while the pool resolves block b chunk by chunk into the
+     * lane store, each chunk bucketed by laneOf.  When the store is
+     * full or the stream ends, the lanes run on the pool, each
+     * calling lane_fn(lane, ref) for its references in draw order;
+     * then, when @p ordered, replay(ref, note) runs serially over the
+     * stored references in draw order, with the note lane_fn
+     * returned for ref.
+     */
+    template <typename LaneFn, typename ReplayFn>
+    void runStaged(Rng &rng, std::uint64_t count, LaneFn &&lane_fn,
+                   bool ordered, ReplayFn &&replay);
+
+    /** fn(i) for i in [0, count): on the pool, else inline. */
+    void fanOut(std::size_t count,
+                const std::function<void(std::size_t)> &fn);
+
+    /** One epoch's timing stream through the staged pipeline. */
     void runTimingStream(Count weight, Ns &epoch_actual,
                          Ns &epoch_baseline);
 
-    /** One epoch's profiling stream: one loop in draw order. */
+    /**
+     * One epoch's profiling stream through the staged pipeline,
+     * with the PEBS counter and ordered write feedback replayed in
+     * draw order.
+     */
     void runProfileStream(std::uint64_t profile_samples,
                           Count pebs_budget);
 
@@ -457,8 +503,17 @@ class Simulation
     std::unique_ptr<ThreadPool> ownedPool_; // shard: read-only
     /** Effective pool (owned or shared); null = lanes inline. */
     ThreadPool *pool_ = nullptr; // shard: read-only handle
-    /** Per-lane timing-stream buckets, reused across epochs. */
-    std::array<std::vector<MemRef>, kMachineLanes> laneRefs_;
+    /**
+     * Staged-pipeline buffers, allocated at the first stepEpoch and
+     * reused: two blocks of draws (the one resolving, the one being
+     * drawn) and the lane store: resolved references sorted by lane
+     * within each chunk, the lanes' notes at the same positions, and
+     * each draw's lane in draw order, for the ordered replay.
+     */
+    std::array<std::vector<StagedRef>, 2> staged_; // shard: serial-only
+    std::vector<MemRef> laneRefs_;
+    std::vector<std::uint8_t> laneNotes_;
+    std::vector<std::uint8_t> drawLanes_;
 
     RunState run_; // shard: serial-only
 

@@ -136,8 +136,9 @@ class BadgerTrap
     std::size_t trackedPages() const;
 
   private:
-    /** One machine lane's mutable hot-path state. */
-    struct LaneState
+    /** One machine lane's mutable hot-path state, on its own cache
+     *  lines so concurrent lanes do not contend. */
+    struct alignas(64) LaneState
     {
         Count faults = 0;         // shard: lane-local
         Count weightedFaults = 0; // shard: lane-local

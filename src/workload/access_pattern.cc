@@ -13,10 +13,16 @@ UniformPattern::UniformPattern(std::uint64_t span_bytes)
     TSTAT_ASSERT(span_bytes > 0, "UniformPattern: empty span");
 }
 
-std::uint64_t
-UniformPattern::next(Rng &rng)
+void
+UniformPattern::draw(Rng &rng, PatternDraw &out)
 {
-    return draw_(rng);
+    out.words[0] = draw_.accept(rng);
+}
+
+std::uint64_t
+UniformPattern::resolve(const PatternDraw &in) const
+{
+    return draw_.reduce(in.words[0]);
 }
 
 ZipfianPattern::ZipfianPattern(std::uint64_t span_bytes,
@@ -42,13 +48,22 @@ ZipfianPattern::slotForRank(std::uint64_t rank) const
     return scatter_ ? perm_.map(rank) : rank;
 }
 
-std::uint64_t
-ZipfianPattern::next(Rng &rng)
+// words: [0] the Zipf draw's raw word, [1] the accepted line word.
+void
+ZipfianPattern::draw(Rng &rng, PatternDraw &out)
 {
-    const std::uint64_t rank = zipf_.sample(rng);
+    out.words[0] = rng.next();
+    out.words[1] = objectBytes_ <= 64 ? 0 : withinDraw_.accept(rng);
+}
+
+std::uint64_t
+ZipfianPattern::resolve(const PatternDraw &in) const
+{
+    const std::uint64_t rank =
+        zipf_.rankAt(Rng::unitDouble(in.words[0]));
     const std::uint64_t slot = slotForRank(rank);
     const std::uint64_t within =
-        objectBytes_ <= 64 ? 0 : withinDraw_(rng) * 64;
+        objectBytes_ <= 64 ? 0 : withinDraw_.reduce(in.words[1]) * 64;
     return std::min(slot * objectBytes_ + within, spanBytes_ - 1);
 }
 
@@ -78,18 +93,25 @@ HotspotPattern::HotspotPattern(std::uint64_t span_bytes,
     }
 }
 
-std::uint64_t
-HotspotPattern::next(Rng &rng)
+// words: [0] 1 when the draw hit the hot subset, [1] the accepted
+// object word, [2] the accepted line word.
+void
+HotspotPattern::draw(Rng &rng, PatternDraw &out)
 {
-    std::uint64_t index;
-    if (rng.nextBool(hotTraffic_)) {
-        index = hotDraw_(rng);
-    } else {
-        index = anyDraw_(rng);
-    }
+    const bool hot = rng.nextBool(hotTraffic_);
+    out.words[0] = hot ? 1 : 0;
+    out.words[1] = (hot ? hotDraw_ : anyDraw_).accept(rng);
+    out.words[2] = objectBytes_ <= 64 ? 0 : withinDraw_.accept(rng);
+}
+
+std::uint64_t
+HotspotPattern::resolve(const PatternDraw &in) const
+{
+    const std::uint64_t index =
+        (in.words[0] != 0 ? hotDraw_ : anyDraw_).reduce(in.words[1]);
     const std::uint64_t slot = scatter_ ? perm_.map(index) : index;
     const std::uint64_t within =
-        objectBytes_ <= 64 ? 0 : withinDraw_(rng) * 64;
+        objectBytes_ <= 64 ? 0 : withinDraw_.reduce(in.words[2]) * 64;
     return std::min(slot * objectBytes_ + within, spanBytes_ - 1);
 }
 
@@ -102,15 +124,21 @@ SequentialScanPattern::SequentialScanPattern(std::uint64_t span_bytes,
                  "SequentialScanPattern: zero stride");
 }
 
-std::uint64_t
-SequentialScanPattern::next(Rng &)
+// words: [0] the cursor the draw read.
+void
+SequentialScanPattern::draw(Rng &, PatternDraw &out)
 {
-    const std::uint64_t offset = cursor_;
+    out.words[0] = cursor_;
     cursor_ += strideBytes_;
     if (cursor_ >= spanBytes_) {
         cursor_ = 0;
     }
-    return offset;
+}
+
+std::uint64_t
+SequentialScanPattern::resolve(const PatternDraw &in) const
+{
+    return in.words[0];
 }
 
 void
@@ -134,10 +162,17 @@ RecentWindowPattern::RecentWindowPattern(std::uint64_t span_bytes,
                  "RecentWindowPattern: empty window");
 }
 
-std::uint64_t
-RecentWindowPattern::next(Rng &rng)
+void
+RecentWindowPattern::draw(Rng &rng, PatternDraw &out)
 {
-    return spanBytes_ - windowDraw_.bound() + windowDraw_(rng);
+    out.words[0] = windowDraw_.accept(rng);
+}
+
+std::uint64_t
+RecentWindowPattern::resolve(const PatternDraw &in) const
+{
+    return spanBytes_ - windowDraw_.bound() +
+           windowDraw_.reduce(in.words[0]);
 }
 
 OffsetPattern::OffsetPattern(std::uint64_t offset_bytes,
@@ -147,10 +182,16 @@ OffsetPattern::OffsetPattern(std::uint64_t offset_bytes,
     TSTAT_ASSERT(inner_ != nullptr, "OffsetPattern without inner");
 }
 
-std::uint64_t
-OffsetPattern::next(Rng &rng)
+void
+OffsetPattern::draw(Rng &rng, PatternDraw &out)
 {
-    return offsetBytes_ + inner_->next(rng);
+    inner_->draw(rng, out);
+}
+
+std::uint64_t
+OffsetPattern::resolve(const PatternDraw &in) const
+{
+    return offsetBytes_ + inner_->resolve(in);
 }
 
 std::uint64_t
@@ -186,10 +227,16 @@ PhaseShiftPattern::PhaseShiftPattern(
                  "PhaseShiftPattern: wrap smaller than inner span");
 }
 
-std::uint64_t
-PhaseShiftPattern::next(Rng &rng)
+void
+PhaseShiftPattern::draw(Rng &rng, PatternDraw &out)
 {
-    const std::uint64_t raw = inner_->next(rng);
+    inner_->draw(rng, out);
+}
+
+std::uint64_t
+PhaseShiftPattern::resolve(const PatternDraw &in) const
+{
+    const std::uint64_t raw = inner_->resolve(in);
     return (raw + static_cast<std::uint64_t>(phaseIndex_) *
                       shiftBytes_) %
            wrapBytes_;

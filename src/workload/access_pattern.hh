@@ -32,15 +32,44 @@ namespace thermostat
 {
 
 /**
+ * What the serial stage of one pattern draw leaves for the pure
+ * stage: the accepted Rng words in consumption order (or, for a
+ * scan, the cursor it read).  Each pattern defines its own slots.
+ */
+struct PatternDraw
+{
+    std::uint64_t words[3] = {};
+};
+
+/**
  * Base interface: a stream of byte offsets in [0, spanBytes()).
+ *
+ * A draw has two stages.  draw() is serial: it consumes exactly the
+ * Rng words the draw needs, in order, and applies every change to
+ * pattern state.  resolve() is pure arithmetic on what draw() left
+ * (Zipf inversion, permutation, bounds) and reads only state that
+ * advance() and setSpanBytes() change, so the draws of one epoch can
+ * be resolved concurrently, in any order, after all were drawn.
  */
 class AccessPattern
 {
   public:
     virtual ~AccessPattern() = default;
 
+    /** Serial stage of one draw. */
+    virtual void draw(Rng &rng, PatternDraw &out) = 0;
+
+    /** Pure stage: the byte offset a staged draw stands for. */
+    virtual std::uint64_t resolve(const PatternDraw &in) const = 0;
+
     /** Next byte offset (line aligned by the caller if desired). */
-    virtual std::uint64_t next(Rng &rng) = 0;
+    std::uint64_t
+    next(Rng &rng)
+    {
+        PatternDraw staged;
+        draw(rng, staged);
+        return resolve(staged);
+    }
 
     /** Current span covered by the pattern. */
     virtual std::uint64_t spanBytes() const = 0;
@@ -62,7 +91,8 @@ class UniformPattern : public AccessPattern
   public:
     explicit UniformPattern(std::uint64_t span_bytes);
 
-    std::uint64_t next(Rng &rng) override;
+    void draw(Rng &rng, PatternDraw &out) override;
+    std::uint64_t resolve(const PatternDraw &in) const override;
     std::uint64_t spanBytes() const override { return spanBytes_; }
     void setSpanBytes(std::uint64_t bytes) override
     {
@@ -86,7 +116,8 @@ class ZipfianPattern : public AccessPattern
     ZipfianPattern(std::uint64_t span_bytes, std::uint64_t object_bytes,
                    double theta, bool scatter, std::uint64_t seed);
 
-    std::uint64_t next(Rng &rng) override;
+    void draw(Rng &rng, PatternDraw &out) override;
+    std::uint64_t resolve(const PatternDraw &in) const override;
     std::uint64_t spanBytes() const override { return spanBytes_; }
 
     std::uint64_t objectCount() const { return zipf_.itemCount(); }
@@ -117,7 +148,8 @@ class HotspotPattern : public AccessPattern
                    double hot_fraction, double hot_traffic,
                    bool scatter, std::uint64_t seed);
 
-    std::uint64_t next(Rng &rng) override;
+    void draw(Rng &rng, PatternDraw &out) override;
+    std::uint64_t resolve(const PatternDraw &in) const override;
     std::uint64_t spanBytes() const override { return spanBytes_; }
 
     std::uint64_t hotObjectCount() const { return hotObjects_; }
@@ -146,7 +178,8 @@ class SequentialScanPattern : public AccessPattern
     SequentialScanPattern(std::uint64_t span_bytes,
                           std::uint64_t stride_bytes);
 
-    std::uint64_t next(Rng &rng) override;
+    void draw(Rng &rng, PatternDraw &out) override;
+    std::uint64_t resolve(const PatternDraw &in) const override;
     std::uint64_t spanBytes() const override { return spanBytes_; }
     void setSpanBytes(std::uint64_t bytes) override;
 
@@ -168,7 +201,8 @@ class RecentWindowPattern : public AccessPattern
     RecentWindowPattern(std::uint64_t span_bytes,
                         std::uint64_t window_bytes);
 
-    std::uint64_t next(Rng &rng) override;
+    void draw(Rng &rng, PatternDraw &out) override;
+    std::uint64_t resolve(const PatternDraw &in) const override;
     std::uint64_t spanBytes() const override { return spanBytes_; }
     void setSpanBytes(std::uint64_t bytes) override
     {
@@ -196,7 +230,8 @@ class OffsetPattern : public AccessPattern
     OffsetPattern(std::uint64_t offset_bytes,
                   std::unique_ptr<AccessPattern> inner);
 
-    std::uint64_t next(Rng &rng) override;
+    void draw(Rng &rng, PatternDraw &out) override;
+    std::uint64_t resolve(const PatternDraw &in) const override;
     std::uint64_t spanBytes() const override;
 
     /** Growth forwards to the inner pattern, minus the offset. */
@@ -228,7 +263,8 @@ class PhaseShiftPattern : public AccessPattern
                       Ns phase_period, std::uint64_t shift_bytes,
                       std::uint64_t wrap_bytes);
 
-    std::uint64_t next(Rng &rng) override;
+    void draw(Rng &rng, PatternDraw &out) override;
+    std::uint64_t resolve(const PatternDraw &in) const override;
     std::uint64_t spanBytes() const override { return wrapBytes_; }
     void advance(Ns now) override;
 

@@ -120,26 +120,59 @@ ComposedWorkload::advance(Ns now, AddressSpace &space)
 MemRef
 ComposedWorkload::sample(Rng &rng)
 {
+    StagedRef staged;
+    drawOne(rng, staged);
+    return resolveOne(staged);
+}
+
+void
+ComposedWorkload::draw(Rng &rng, StagedRef *out, std::size_t count)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        drawOne(rng, out[i]);
+    }
+}
+
+void
+ComposedWorkload::resolve(const StagedRef *in, MemRef *out,
+                          std::size_t count) const
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        out[i] = resolveOne(in[i]);
+    }
+}
+
+void
+ComposedWorkload::drawOne(Rng &rng, StagedRef &out)
+{
     TSTAT_ASSERT(space_ != nullptr, "sample before setup");
     const double pick = rng.nextDouble() * totalWeight_;
-    BoundComponent *chosen = &components_.back();
-    for (BoundComponent &bound : components_) {
-        if (pick < bound.cumulativeWeight) {
-            chosen = &bound;
+    std::size_t chosen = components_.size() - 1;
+    for (std::size_t i = 0; i < components_.size(); ++i) {
+        if (pick < components_[i].cumulativeWeight) {
+            chosen = i;
             break;
         }
     }
-    const Region &region = space_->regions()[chosen->regionIndex];
-    std::uint64_t offset = chosen->spec.pattern->next(rng);
+    const TrafficComponent &spec = components_[chosen].spec;
+    spec.pattern->draw(rng, out.pattern);
+    out.component = static_cast<std::uint32_t>(chosen);
+    out.write = rng.nextBool(spec.writeFraction);
+}
+
+MemRef
+ComposedWorkload::resolveOne(const StagedRef &staged) const
+{
+    const BoundComponent &chosen = components_[staged.component];
+    const Region &region = space_->regions()[chosen.regionIndex];
+    std::uint64_t offset = chosen.spec.pattern->resolve(staged.pattern);
     if (offset >= region.mappedBytes) {
         offset %= region.mappedBytes;
     }
     MemRef ref;
-    ref.addr = (chosen->regionBase + offset) & ~Addr{63};
-    ref.type = rng.nextBool(chosen->spec.writeFraction)
-                   ? AccessType::Write
-                   : AccessType::Read;
-    ref.burstLines = chosen->spec.burstLines;
+    ref.addr = (chosen.regionBase + offset) & ~Addr{63};
+    ref.type = staged.write ? AccessType::Write : AccessType::Read;
+    ref.burstLines = chosen.spec.burstLines;
     return ref;
 }
 

@@ -42,6 +42,19 @@ struct MemRef
     unsigned burstLines = 1;
 };
 
+/**
+ * One reference between the two stages of a draw (see
+ * Workload::draw): what the serial stage drew, which resolve() turns
+ * into a MemRef.  The stages take whole blocks, so a block costs one
+ * virtual call per stage.
+ */
+struct StagedRef
+{
+    PatternDraw pattern;         //!< the component pattern's draw
+    std::uint32_t component = 0; //!< traffic component drawn
+    bool write = false;          //!< the reference-type draw
+};
+
 /** A region the workload maps at setup. */
 struct RegionSpec
 {
@@ -100,6 +113,45 @@ class Workload
     /** Draw one memory reference. */
     virtual MemRef sample(Rng &rng) = 0;
 
+    /**
+     * Serial stage of @p count staged draws: consumes exactly the Rng
+     * words as many sample() calls would, in the same order, and
+     * makes every change to workload state.  The default runs
+     * sample() whole and keeps each result in its StagedRef
+     * (address and burst in the pattern words), so a workload that
+     * overrides only sample() keeps its serial draw order.
+     */
+    virtual void
+    draw(Rng &rng, StagedRef *out, std::size_t count)
+    {
+        for (std::size_t i = 0; i < count; ++i) {
+            const MemRef ref = sample(rng);
+            out[i].pattern.words[0] = ref.addr;
+            out[i].pattern.words[1] = ref.burstLines;
+            out[i].write = ref.type == AccessType::Write;
+        }
+    }
+
+    /**
+     * Pure stage: the references @p count staged draws stand for.
+     * Reads only state that advance() changes, so the draws of one
+     * block resolve concurrently with each other and with the
+     * serial stage of the next block, and draw() then resolve()
+     * gives exactly what sample() gives.  The default copies out
+     * what the default draw() kept.
+     */
+    virtual void
+    resolve(const StagedRef *in, MemRef *out, std::size_t count) const
+    {
+        for (std::size_t i = 0; i < count; ++i) {
+            out[i].addr = in[i].pattern.words[0];
+            out[i].type =
+                in[i].write ? AccessType::Write : AccessType::Read;
+            out[i].burstLines =
+                static_cast<unsigned>(in[i].pattern.words[1]);
+        }
+    }
+
     /** Burst references (TLB-event-equivalents) per second. */
     virtual double memRefRate() const = 0;
 
@@ -139,6 +191,9 @@ class ComposedWorkload : public Workload
     void setup(AddressSpace &space) override;
     void advance(Ns now, AddressSpace &space) override;
     MemRef sample(Rng &rng) override;
+    void draw(Rng &rng, StagedRef *out, std::size_t count) override;
+    void resolve(const StagedRef *in, MemRef *out,
+                 std::size_t count) const override;
     double memRefRate() const override { return memRefRate_; }
     double cpuWorkFraction() const override { return cpuWorkFraction_; }
     Ns naturalDuration() const override { return naturalDuration_; }
@@ -150,6 +205,10 @@ class ComposedWorkload : public Workload
     std::vector<RegionRate> regionRates() const override;
 
   private:
+    /** One draw's two stages; sample() and the batches use these. */
+    void drawOne(Rng &rng, StagedRef &out);
+    MemRef resolveOne(const StagedRef &staged) const;
+
     struct BoundComponent
     {
         TrafficComponent spec;

@@ -2,7 +2,9 @@
  * @file
  * CLI operand contract: every malformed, non-finite or out-of-range
  * numeric operand of thermostat_sim (including --policy-param),
- * thermostat_trace and run_all, every unloadable trace tenant and
+ * thermostat_trace, run_all and the examples, every malformed
+ * --tenants line (its diagnostic printed once), every unloadable
+ * trace tenant and
  * every trace too slow for the sampled timing stream exits 2 with a
  * diagnostic naming the bad input -- before any simulation starts
  * or any worker pool is built, so a probe can never run to its
@@ -128,6 +130,18 @@ TEST(SimCli, HostModeOperandsAreCheckedToo)
         << output;
 }
 
+TEST(SimCli, TenantSpecErrorIsPrintedOnce)
+{
+    TempDir dir;
+    const std::string conf = dir.file("tenants.conf");
+    ASSERT_TRUE(spillFile(conf, "id=a workload=redis target=nan\n"));
+    const auto [status, output] =
+        runSim("--tenants " + conf + " --duration 5");
+    EXPECT_EQ(status, 2) << output;
+    EXPECT_EQ(output, "--tenants line 1: target 'nan' is not a "
+                      "percentage in (0, 100]\n");
+}
+
 TEST(SimCli, UnloadableTraceTenantExitsTwo)
 {
     TempDir dir;
@@ -233,6 +247,25 @@ TEST(RunAllCli, MalformedJobsExitTwoBeforeAnyPool)
             << output;
     }
 }
+
+#ifdef THERMOSTAT_QUICKSTART_BIN
+TEST(ExampleCli, MalformedPositionalOperandsExitTwo)
+{
+    const std::vector<std::pair<std::string, std::string>> probes = {
+        {"redis nan 40", "bad tolerable_slowdown_pct 'nan'"},
+        {"redis 0 40", "bad tolerable_slowdown_pct '0'"},
+        {"redis 3 -4", "bad seconds '-4'"},
+        {"redis 3 40s", "bad seconds '40s'"},
+        {"nosuch 3 40", "unknown workload 'nosuch'"},
+    };
+    for (const auto &[args, diagnostic] : probes) {
+        const auto [status, output] =
+            runTool(THERMOSTAT_QUICKSTART_BIN, args);
+        EXPECT_EQ(status, 2) << args << "\n" << output;
+        EXPECT_NE(output.find(diagnostic), std::string::npos) << output;
+    }
+}
+#endif
 
 } // namespace
 } // namespace thermostat

@@ -95,6 +95,7 @@ TEST(Lint, EachRuleClassFiresOnSeededViolation)
         {"src/rule_trace_category.cc", "trace-category"},
         {"src/rule_unsafe_c_api.cc", "unsafe-c-api"},
         {"src/rule_numeric_parse.cc", "ban-c-numeric-parse"},
+        {"examples/rule_numeric_parse.cpp", "ban-c-numeric-parse"},
         {"src/rule_unordered_map.cc", "hot-path-unordered-map"},
         {"src/sim/machine.hh", "shard-unsynced-state"},
         {"src/mem/layering_bad.cc", "subsystem-layering"},

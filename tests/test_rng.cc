@@ -149,6 +149,29 @@ TEST(Rng, BoundedIsRoughlyUniform)
     }
 }
 
+// BoundedDraw's power-of-two path masks instead of dividing; every
+// bound must still give Rng::nextBounded's exact draws and leave the
+// stream where nextBounded leaves it (1.4M draws in all).
+TEST(BoundedDraw, MatchesNextBoundedForEveryBoundKind)
+{
+    const std::uint64_t bounds[] = {
+        1, 2, 64, 4096, 65536, std::uint64_t{1} << 40,
+        std::uint64_t{1} << 63,
+        3, 7, 1000, 4095, 12345678901ULL,
+        (std::uint64_t{1} << 63) + 1, // rejects ~half of all words
+        ~std::uint64_t{0}};
+    for (const std::uint64_t bound : bounds) {
+        Rng staged(bound);
+        Rng reference(bound);
+        const BoundedDraw draw(bound);
+        for (int i = 0; i < 100000; ++i) {
+            const std::uint64_t want = reference.nextBounded(bound);
+            ASSERT_EQ(draw(staged), want) << "bound " << bound;
+        }
+        EXPECT_EQ(staged.next(), reference.next()) << "bound " << bound;
+    }
+}
+
 TEST(Rng, SampleWithoutReplacementDistinct)
 {
     Rng rng(37);

@@ -86,9 +86,10 @@ matrixCells(std::uint64_t seed)
         << error;
     cells.push_back(std::move(faulty));
 
-    // PEBS counting and a feedback engine: both drive order-sensitive
-    // state from the profiling stream while sharing the lane-parallel
-    // timing stream.
+    // PEBS counting and the feedback engines drive state from the
+    // profiling stream's lanes; the PEBS modulo counter and nomad's
+    // transaction dirty marks are replayed in draw order after each
+    // lane batch.
     Cell pebs{"emu-pebs", matrixConfig(seed)};
     pebs.config.machine.countingMode = CountingMode::Pebs;
     cells.push_back(std::move(pebs));
@@ -97,6 +98,11 @@ matrixCells(std::uint64_t seed)
     hotness.config.policy = "hotness";
     hotness.config.policyParams.coldFraction = 0.5;
     cells.push_back(std::move(hotness));
+
+    Cell nomad{"emu-nomad", matrixConfig(seed)};
+    nomad.config.policy = "nomad";
+    nomad.config.policyParams.coldFraction = 0.5;
+    cells.push_back(std::move(nomad));
     return cells;
 }
 
@@ -145,7 +151,7 @@ expectIdentical(const RunFingerprint &ref, const RunFingerprint &got,
 
 TEST(ShardDeterminism, MatrixMatchesSerialReference)
 {
-    // 20 seeds x 5 workload configs x shards {2,4,8} against the
+    // 20 seeds x 6 workload configs x shards {2,4,8} against the
     // shards=1 reference.  Any divergence names its exact cell.
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         for (const Cell &cell : matrixCells(seed)) {

@@ -1,7 +1,9 @@
 /**
  * @file
  * ThreadPool tests: reusable wait(), THERMOSTAT_JOBS sizing,
- * exception propagation, and a contention workout that gives TSan
+ * exception propagation, the parallelFor batch contract (every index
+ * once, in order within a chunk, first chunk on the caller, no
+ * deadlock when nested), and a contention workout that gives TSan
  * (the tsan-determinism CI job) something to chew on.
  */
 
@@ -186,6 +188,64 @@ TEST(ThreadPool, ParallelForPropagatesException)
     pool.parallelFor(0, 8, 2, [&](std::size_t) { ++after; });
     EXPECT_EQ(after.load(), 8);
     EXPECT_GE(ran.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForRunsEachChunkInOrderOnce)
+{
+    ThreadPool pool(3);
+    for (const std::size_t n : {std::size_t{300}, std::size_t{1000}}) {
+        constexpr std::size_t kGrain = 5;
+        std::vector<std::vector<std::size_t>> seen(n / kGrain);
+        for (int round = 0; round < 20; ++round) {
+            for (std::vector<std::size_t> &chunk : seen) {
+                chunk.clear();
+            }
+            pool.parallelFor(0, n, kGrain, [&](std::size_t i) {
+                seen[i / kGrain].push_back(i);
+            });
+            for (std::size_t c = 0; c < seen.size(); ++c) {
+                ASSERT_EQ(seen[c].size(), kGrain) << "n " << n;
+                for (std::size_t k = 0; k < kGrain; ++k) {
+                    ASSERT_EQ(seen[c][k], c * kGrain + k) << "n " << n;
+                }
+            }
+        }
+    }
+}
+
+TEST(ThreadPool, ParallelForRunsTheFirstChunkOnTheCaller)
+{
+    ThreadPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int round = 0; round < 50; ++round) {
+        std::thread::id first;
+        pool.parallelFor(0, 9, 1, [&](std::size_t i) {
+            if (i == 0) {
+                first = std::this_thread::get_id();
+            }
+        });
+        ASSERT_EQ(first, caller);
+    }
+}
+
+// A parallelFor issued from inside a pool job (or a batch) finishes:
+// its caller claims whatever no worker takes.
+TEST(ThreadPool, NestedParallelForCompletes)
+{
+    ThreadPool pool(2);
+    std::atomic<int> inner{0};
+    for (int job = 0; job < 4; ++job) {
+        pool.submit([&] {
+            pool.parallelFor(0, 16, 1, [&](std::size_t) { ++inner; });
+        });
+    }
+    pool.wait();
+    EXPECT_EQ(inner.load(), 64);
+    std::atomic<int> nested{0};
+    pool.parallelFor(0, 4, 1, [&](std::size_t) {
+        pool.parallelFor(0, 8, 2, [&](std::size_t) { ++nested; });
+    });
+    EXPECT_EQ(nested.load(), 32);
 }
 
 TEST(ThreadPool, ContendedCountersStayExact)

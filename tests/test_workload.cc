@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <vector>
 
 #include "workload/cloud_apps.hh"
+#include "workload/trace.hh"
 
 namespace thermostat
 {
@@ -260,6 +263,139 @@ TEST(CloudApps, AnalyticsGrowsOverRun)
     EXPECT_GT(end, start + 1'000_MiB);
     // Peak heap ~6.2GB per Table 2.
     EXPECT_NEAR(static_cast<double>(end) / (1ULL << 30), 6.1, 0.4);
+}
+
+/**
+ * Draw @p blocks blocks of @p block references through the staged
+ * pair -- Workload::draw for the whole block, then resolve() on each
+ * -- and as many through sample() on a twin built the same way,
+ * advancing both by @p step before each block.  Every reference
+ * must match exactly and both Rng streams must end aligned: staging
+ * may not change a bit of the reference stream.  Returns the number
+ * of references compared.
+ */
+std::uint64_t
+expectStagedMatchesSample(
+    const std::function<std::unique_ptr<Workload>()> &make, int blocks,
+    std::size_t block, Ns step)
+{
+    TieredMemory mem_staged = bigMemory();
+    TieredMemory mem_twin = bigMemory();
+    AddressSpace space_staged(mem_staged);
+    AddressSpace space_twin(mem_twin);
+    const std::unique_ptr<Workload> staged = make();
+    const std::unique_ptr<Workload> twin = make();
+    staged->setup(space_staged);
+    twin->setup(space_twin);
+    Rng rng_staged(11);
+    Rng rng_twin(11);
+    std::vector<StagedRef> drawn(block);
+    std::vector<MemRef> resolved(block);
+    std::uint64_t compared = 0;
+    for (int b = 0; b < blocks; ++b) {
+        const Ns now = static_cast<Ns>(b) * step;
+        staged->advance(now, space_staged);
+        twin->advance(now, space_twin);
+        staged->draw(rng_staged, drawn.data(), block);
+        staged->resolve(drawn.data(), resolved.data(), block);
+        for (std::size_t i = 0; i < block; ++i) {
+            const MemRef want = twin->sample(rng_twin);
+            const MemRef &got = resolved[i];
+            EXPECT_EQ(got.addr, want.addr)
+                << staged->name() << " block " << b << " ref " << i;
+            EXPECT_EQ(got.type, want.type)
+                << staged->name() << " block " << b << " ref " << i;
+            EXPECT_EQ(got.burstLines, want.burstLines)
+                << staged->name() << " block " << b << " ref " << i;
+            if (::testing::Test::HasFailure()) {
+                return compared;
+            }
+            ++compared;
+        }
+    }
+    EXPECT_EQ(rng_staged.next(), rng_twin.next()) << staged->name();
+    return compared;
+}
+
+// Every application (and the bursty Redis variant), 204,800
+// references each over 240 simulated seconds:
+// Cassandra's memtable and the analytics heap grow, and Redis's
+// rotating zone changes phase eight times.
+TEST(StagedDraw, MatchesSampleForEveryApp)
+{
+    std::vector<std::function<std::unique_ptr<Workload>()>> apps;
+    for (const std::string &name : allWorkloadNames()) {
+        apps.emplace_back([name] { return makeWorkload(name, 3); });
+    }
+    apps.emplace_back([] { return makeRedisBursty(3); });
+    for (const auto &make : apps) {
+        EXPECT_EQ(expectStagedMatchesSample(make, 25, 8192,
+                                            10 * kNsPerSec),
+                  25u * 8192u);
+    }
+}
+
+/** One component per pattern kind, sized so the scan wraps often,
+ *  the window tracks growth and the phase shift turns over. */
+std::unique_ptr<Workload>
+everyPatternWorkload()
+{
+    auto w = std::make_unique<ComposedWorkload>("every-pattern", 1.0e6,
+                                                0.5, 60 * kNsPerSec);
+    w->addRegion({"flat", 64_MiB, 0, true, false});
+    w->addRegion({"log", 8_MiB, 64_MiB, true, false});
+    w->addGrowth({"log", 2.0e6});
+    const auto add = [&w](const char *region, double weight,
+                          std::unique_ptr<AccessPattern> pattern,
+                          bool track_growth = false) {
+        TrafficComponent c;
+        c.region = region;
+        c.weight = weight;
+        c.writeFraction = 0.4;
+        c.burstLines = 2;
+        c.pattern = std::move(pattern);
+        c.trackGrowth = track_growth;
+        w->addComponent(std::move(c));
+    };
+    add("flat", 1.0, std::make_unique<UniformPattern>(3_MiB + 12345));
+    // 192-byte objects: a non-power-of-two line bound.
+    add("flat", 1.0,
+        std::make_unique<ZipfianPattern>(8_MiB, 192, 0.8, true, 5));
+    add("flat", 1.0,
+        std::make_unique<ZipfianPattern>(8_MiB, 4096, 0.6, false, 6));
+    add("flat", 1.0,
+        std::make_unique<OffsetPattern>(
+            16_MiB, std::make_unique<HotspotPattern>(
+                        6_MiB + 320, 320, 0.01, 0.9, true, 7)));
+    add("flat", 0.5,
+        std::make_unique<SequentialScanPattern>(256_KiB, 4096));
+    add("flat", 1.0,
+        std::make_unique<PhaseShiftPattern>(
+            std::make_unique<ZipfianPattern>(4_MiB, 1024, 0.7, true, 8),
+            5 * kNsPerSec, 1_MiB, 16_MiB));
+    add("log", 1.0,
+        std::make_unique<RecentWindowPattern>(8_MiB, 2_MiB), true);
+    return w;
+}
+
+TEST(StagedDraw, MatchesSampleForEveryPatternKind)
+{
+    const std::uint64_t compared = expectStagedMatchesSample(
+        everyPatternWorkload, 25, 8192, 3 * kNsPerSec);
+    EXPECT_EQ(compared, 25u * 8192u);
+}
+
+// A workload that overrides only sample() keeps its serial draw: the
+// default serial stage runs sample() and resolve() copies it out.
+TEST(StagedDraw, SampleOnlyWorkloadsUseTheDefaultPair)
+{
+    const std::uint64_t compared = expectStagedMatchesSample(
+        [] {
+            return std::make_unique<RecordingWorkload>(
+                makeWorkload("redis", 4));
+        },
+        4, 4096, 30 * kNsPerSec);
+    EXPECT_EQ(compared, 4u * 4096u);
 }
 
 } // namespace

@@ -51,7 +51,8 @@ rules()
          "strto*/ato*/std::sto* numeric parses each accept a different "
          "subset of signs, partial tokens, nan/inf and overflow; use "
          "parseReal/parseCount from common/parse.hh",
-         {{"src/", "bench/", "tools/"}, {"src/common/parse.hh"}}},
+         {{"src/", "bench/", "tools/", "examples/"},
+          {"src/common/parse.hh"}}},
         {"hot-path-unordered-map",
          "std::unordered_map on simulator/bench paths; per-page tables "
          "use common/flat_map.hh (baseline cold paths with a "

@@ -249,7 +249,8 @@ main(int argc, char **argv)
         return 2;
     }
     if (paths.empty()) {
-        for (const char *d : {"src", "bench", "tools", "tests"}) {
+        for (const char *d :
+             {"src", "bench", "tools", "tests", "examples"}) {
             if (fs::is_directory(root / d, ec)) {
                 paths.push_back(d);
             }

@@ -76,7 +76,7 @@ usage(const char *argv0)
         "                     natural)\n"
         "  --warmup SEC       warmup seconds (default 0)\n"
         "  --seed N           RNG seed (default 42)\n"
-        "  --shards N         timing-stream worker threads, 0..8\n"
+        "  --shards N         epoch-pipeline threads, 0..8\n"
         "                     (0 = auto, 1 = serial; results are\n"
         "                     identical for every value)\n"
         "  --mode emu|device  slow-memory model (default emu)\n"
@@ -421,7 +421,8 @@ main(int argc, char **argv)
         std::string error;
         if (!parseTenantSpecFile(tenants_file, &parsed, &error) ||
             !expandTenantSpecs(parsed, &specs, &error)) {
-            std::fprintf(stderr, "--tenants: %s\n", error.c_str());
+            // The parser's diagnostics already name --tenants.
+            std::fprintf(stderr, "%s\n", error.c_str());
             return 2;
         }
         // A bad trace is a usage error: load each trace once here,
